@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import click
@@ -99,6 +101,21 @@ def _apply_config(ctx: click.Context, options: dict) -> dict:
         if ctx.get_parameter_source(name) is click.core.ParameterSource.DEFAULT:
             options[name] = by_name[name].type.convert(raw, by_name[name], ctx)
     return options
+
+
+def _split_date(value: str) -> str:
+    """The value itself when it is a real date written as YYYY-MM-DD.
+
+    Panel dates are compared as strings, so any other spelling would split on
+    the wrong day instead of failing.
+    """
+    try:
+        canonical = date.fromisoformat(value).isoformat()
+    except ValueError:
+        canonical = None
+    if canonical != value:
+        raise click.UsageError(f"--split-date {value!r} is not a valid YYYY-MM-DD date")
+    return value
 
 
 def _model_spec(options: dict) -> ModelSpec:
@@ -314,7 +331,7 @@ def train_command(ctx: click.Context, **options) -> None:
             mode=options["mode"],
         )
         input_size = len(panel.symbols)
-    config = _denoiser_config(options, input_size).with_mode(options["mode"])
+    config = replace(_denoiser_config(options, input_size), mode=options["mode"])
     weights, history = train(config, data)
     save_weights(weights, options["weights_out"])
     lines = ["epoch,train_mse,validation_mse"]
@@ -355,10 +372,11 @@ def train_command(ctx: click.Context, **options) -> None:
 def backtest_command(ctx: click.Context, **options) -> None:
     """Walk-forward backtest of a covariance estimator (or a benchmark)."""
     options = _apply_config(ctx, options)
+    split_date = _split_date(options["split_date"])
     panel = load_returns(options["returns_path"])
     needs_net = options["estimator"] in TRAINED_COVARIANCE + TRAINED_EIGENVECTOR
     config = WalkForwardConfig(
-        split_date=options["split_date"],
+        split_date=split_date,
         estimator=options["estimator"],
         t_in=options["t_in"],
         t_out=options["t_out"],

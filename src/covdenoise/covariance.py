@@ -29,12 +29,15 @@ class CovarianceMatrix:
 
     Invariants checked at construction: symmetry to 1e-12 absolute, minimum
     eigenvalue >= -1e-10 * maximum eigenvalue, strictly positive diagonal.
-    The array is frozen (read-only) after validation.
+    The array is frozen (read-only) after validation, so its descending
+    eigendecomposition is computed on first use and cached.
     """
 
     values: np.ndarray
     provenance: str = "sample"
     dim: int = field(init=False)
+    # lazily filled; shared with every retagged copy of these values
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
@@ -56,11 +59,30 @@ class CovarianceMatrix:
             raise ParameterError(
                 f"covariance not positive semidefinite (min eig {lo:.3e}, max eig {hi:.3e})"
             )
-        if not (self.provenance in _PROVENANCE_FIXED or self.provenance.startswith("estimator:")):
-            raise ParameterError(f"unknown provenance tag {self.provenance!r}")
+        _check_provenance(self.provenance)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[0])
+        object.__setattr__(self, "_cache", {})
+
+    @property
+    def decomposition(self):
+        """The :func:`~covdenoise.spectral.eigendecompose_sym` result, computed once."""
+        if "decomposition" not in self._cache:
+            from .spectral import eigendecompose_sym
+
+            self._cache["decomposition"] = eigendecompose_sym(self.values)
+        return self._cache["decomposition"]
 
     def retagged(self, provenance: str) -> "CovarianceMatrix":
-        return CovarianceMatrix(self.values, provenance)
+        """The same validated, frozen values and decomposition cache under a
+        new provenance tag; only the tag is checked."""
+        _check_provenance(provenance)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, provenance=provenance)
+        return clone
+
+
+def _check_provenance(provenance: str) -> None:
+    if not (provenance in _PROVENANCE_FIXED or provenance.startswith("estimator:")):
+        raise ParameterError(f"unknown provenance tag {provenance!r}")

@@ -11,7 +11,7 @@ matrix; in eigenvector mode it is returned raw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class DenoiserConfig:
             raise ParameterError("learning_rate must be nonnegative")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def with_mode(self, mode: str) -> "DenoiserConfig":
-        return replace(self, mode=mode)
 
 
 @dataclass

@@ -5,6 +5,12 @@ configured estimator, and reports mean and standard error of the Frobenius
 and minimum-variance losses per estimator.  Realizations run on independent
 sub-seeds and may be evaluated on a thread pool; aggregation is by
 realization index, so thread scheduling never changes the results.
+
+Each matrix is decomposed once: the population matrix once per run (its
+square root draws every realization, its inverse enters every
+minimum-variance loss), and each sample once, shared by every estimator
+that needs its spectrum.  The results are bitwise those of calling
+``models.sample_covariance`` and :func:`mv_loss` afresh per realization.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariance import as_matrix
+from .covariance import CovarianceMatrix, as_matrix
 from .errors import CovDenoiseError, ParameterError, SingularMatrixError
 from .estimators import (
     ESTIMATOR_NAMES,
@@ -24,7 +30,7 @@ from .estimators import (
     TRAINED_EIGENVECTOR,
     make_estimator,
 )
-from .models import ModelSpec, sample_covariance
+from .models import ModelSpec, _draw_sample, _sqrt_from_spectrum
 from .randomness import STREAM_REALIZATION, child_seed
 
 logger = logging.getLogger(__name__)
@@ -42,8 +48,11 @@ def frobenius_loss(xi, sigma) -> float:
     return float(np.sum(diff * diff) / sigma.shape[0])
 
 
-def _inverse_from_spectrum(values: np.ndarray, name: str, floor_allowed: bool) -> np.ndarray:
-    eigenvalues, vectors = np.linalg.eigh(values)
+def _inverse_from_spectrum(
+    eigenvalues: np.ndarray, vectors: np.ndarray, name: str, floor_allowed: bool
+) -> np.ndarray:
+    """Inverse from an ascending ``eigh`` result, flooring eigenvalues at
+    1e-12 times the largest where allowed."""
     top = eigenvalues[-1]
     if top <= 0.0:
         raise SingularMatrixError(f"{name} has no positive eigenvalues")
@@ -69,12 +78,49 @@ def mv_loss(xi, sigma) -> float:
     sigma_values = as_matrix(sigma)
     if xi_values.shape != sigma_values.shape:
         raise ParameterError(f"dimension mismatch: {xi_values.shape} vs {sigma_values.shape}")
-    p = sigma_values.shape[0]
-    sigma_inv = _inverse_from_spectrum(sigma_values, "sigma", floor_allowed=False)
-    xi_inv = _inverse_from_spectrum(xi_values, "xi", floor_allowed=True)
+    sigma_inv = _inverse_from_spectrum(
+        *np.linalg.eigh(sigma_values), "sigma", floor_allowed=False
+    )
+    return _mv_loss(xi_values, sigma_inv, float(np.trace(sigma_inv)))
+
+
+def _mv_loss(xi_values: np.ndarray, sigma_inv: np.ndarray, sigma_inv_trace: float) -> float:
+    """:func:`mv_loss` given Sigma's inverse and its trace."""
+    p = sigma_inv.shape[0]
+    xi_inv = _inverse_from_spectrum(*np.linalg.eigh(xi_values), "xi", floor_allowed=True)
     numerator = float(np.trace(sigma_inv @ xi_values @ sigma_inv)) / p
-    denominator = (float(np.trace(sigma_inv)) / p) ** 2
+    denominator = (sigma_inv_trace / p) ** 2
     return numerator / denominator - 1.0 / (float(np.trace(xi_inv)) / p)
+
+
+@dataclass(frozen=True)
+class _PopulationTarget:
+    """Sigma decomposed once per run: the square root that draws samples and
+    the inverse (with its trace) that every minimum-variance loss needs.
+
+    A singular Sigma can still be sampled; its inverse is replaced by the
+    error every loss then raises, exactly as :func:`mv_loss` would.
+    """
+
+    root: np.ndarray
+    inverse: np.ndarray | None
+    inverse_trace: float
+    singular: str | None
+
+    @classmethod
+    def of(cls, sigma: CovarianceMatrix) -> "_PopulationTarget":
+        eigenvalues, vectors = np.linalg.eigh(sigma.values)
+        root = _sqrt_from_spectrum(eigenvalues, vectors)
+        try:
+            inverse = _inverse_from_spectrum(eigenvalues, vectors, "sigma", floor_allowed=False)
+        except SingularMatrixError as exc:
+            return cls(root, None, np.nan, str(exc))
+        return cls(root, inverse, float(np.trace(inverse)), None)
+
+    def mv_loss(self, xi) -> float:
+        if self.inverse is None:
+            raise SingularMatrixError(self.singular)
+        return _mv_loss(as_matrix(xi), self.inverse, self.inverse_trace)
 
 
 @dataclass(frozen=True)
@@ -178,17 +224,19 @@ def run_monte_carlo(
         name: make_estimator(name, n, cov_weights=cov_weights, vec_weights=vec_weights)
         for name in names
     }
+    # built before any realization runs; pool threads only read it
+    target = _PopulationTarget.of(sigma)
 
     losses_f = {name: np.full(m, np.nan) for name in names}
     losses_mv = {name: np.full(m, np.nan) for name in names}
 
     def one_realization(index: int) -> None:
-        draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
+        draw = _draw_sample(target.root, n, child_seed(seed, STREAM_REALIZATION, index))
         for name in names:
             try:
                 estimate = bound[name](draw.sample)
                 losses_f[name][index] = frobenius_loss(estimate, sigma)
-                losses_mv[name][index] = mv_loss(estimate, sigma)
+                losses_mv[name][index] = target.mv_loss(estimate)
             except (CovDenoiseError, np.linalg.LinAlgError):
                 losses_f[name][index] = np.nan
                 losses_mv[name][index] = np.nan

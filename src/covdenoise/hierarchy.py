@@ -72,20 +72,34 @@ def linkage(distance: np.ndarray, method: str = "average") -> list[Merge]:
     return merges
 
 
-def cluster_members(merges: list[Merge], p: int) -> list[np.ndarray]:
-    """Leaf index sets for every label (leaves first, then merge order)."""
-    members: list[np.ndarray] = [np.array([i]) for i in range(p)]
-    for merge in merges:
-        members.append(np.concatenate((members[merge.left], members[merge.right])))
-    return members
-
-
 def cophenetic_matrix(merges: list[Merge], p: int) -> np.ndarray:
-    """Matrix of dendrogram heights at which leaf pairs first join; zero diagonal."""
-    members = cluster_members(merges, p)
-    coph = np.zeros((p, p))
+    """Matrix of dendrogram heights at which leaf pairs first join; zero diagonal.
+
+    Leaves are laid out in dendrogram order, where every cluster is a
+    contiguous range and a merge joins two adjacent ranges, so each merge
+    writes its height into two rectangular slices.  One permutation at the
+    end restores the original leaf order.
+    """
+    sizes = [1] * p
     for merge in merges:
-        left, right = members[merge.left], members[merge.right]
-        coph[np.ix_(left, right)] = merge.height
-        coph[np.ix_(right, left)] = merge.height
-    return coph
+        sizes.append(sizes[merge.left] + sizes[merge.right])
+    # first position of each cluster's range, assigned from the roots down
+    start = [-1] * len(sizes)
+    free = 0
+    for label in range(len(sizes) - 1, -1, -1):
+        if start[label] < 0:  # a root: no later merge contains it
+            start[label] = free
+            free += sizes[label]
+        if label >= p:
+            merge = merges[label - p]
+            start[merge.left] = start[label]
+            start[merge.right] = start[label] + sizes[merge.left]
+    ordered = np.zeros((p, p))
+    for label, merge in enumerate(merges, start=p):
+        lo = start[label]
+        mid = lo + sizes[merge.left]
+        hi = lo + sizes[label]
+        ordered[lo:mid, mid:hi] = merge.height
+        ordered[mid:hi, lo:mid] = merge.height
+    position = np.array(start[:p], dtype=int)
+    return ordered[np.ix_(position, position)]

@@ -264,6 +264,24 @@ def test_backtest_requires_symbol_for_buy_and_hold(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# "2023-04-1" sorts between the panel's 2023-04-09 and 2023-04-10, so a raw
+# string comparison would silently split on the wrong day
+@pytest.mark.parametrize(
+    "value", ["2021-11-9", "2021-13-01", "2023-04-1", "2023-02-30", "20230401"]
+)
+def test_backtest_rejects_malformed_split_date(runner, tmp_path, value):
+    returns = _returns_csv(tmp_path, runner)
+    result = runner.invoke(
+        cli,
+        ["backtest", "--returns", str(returns), "--split-date", value,
+         "--t-in", "30", "--t-out", "30", "--delta-t", "30",
+         "--out-dir", str(tmp_path / "bt")],
+    )
+    assert result.exit_code == 2
+    assert repr(value) in result.output
+    assert not (tmp_path / "bt").exists()
+
+
 def test_config_file_precedence(runner, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("m=2\nestimators=naive\nseed=5\n")

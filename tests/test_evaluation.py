@@ -150,3 +150,49 @@ def test_monte_carlo_trains_cnn_once_and_runs():
         row = report.rows[name]
         assert row.failures == 0
         assert np.isfinite(row.mean_f) and np.isfinite(row.mean_mv)
+
+
+def test_monte_carlo_decomposes_sigma_once_and_each_sample_once(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    spec = ModelSpec(kind=ModelKind.BLOCK, p=12, block_sizes=(3, 4, 5), gamma=0.3)
+    m = 3
+    report = run_monte_carlo(spec, 30, m, ["naive", "lp", "alca", "2s-lp"], seed=4, threads=1)
+    assert all(row.failures == 0 for row in report.rows.values())
+    # per realization: the sample spectrum (shared by lp and 2s-lp) plus one
+    # inverse per estimate; per run: sigma once
+    assert counts["eigh"] <= 2 + 5 * m
+    # per realization: validation of the sample, lp, alca and 2s-lp's two
+    # stages; retagging re-validates nothing
+    assert counts["eigvalsh"] <= 1 + 5 * m
+
+
+def test_population_target_agrees_bitwise_with_public_functions():
+    spec = ModelSpec(kind=ModelKind.POWERLAW, p=10, alpha=1.0, seed=3)
+    sigma = spec.build()
+    target = evaluation._PopulationTarget.of(sigma)
+    for seed in range(4):
+        public = sample_covariance(sigma, 8, seed)
+        draw = evaluation._draw_sample(target.root, 8, seed)
+        assert np.array_equal(public.data, draw.data)
+        assert np.array_equal(public.sample.values, draw.sample.values)
+        for name in ("naive", "lp", "alca"):
+            estimate = evaluation.make_estimator(name, 8)(draw.sample)
+            assert mv_loss(estimate, sigma) == target.mv_loss(estimate)
+
+
+def test_monte_carlo_counts_singular_population_as_failures():
+    # spectrum i^-10 at p=20 falls below the 1e-12 floor: samples can be
+    # drawn, but no minimum-variance loss against sigma is defined
+    spec = ModelSpec(kind=ModelKind.POWERLAW, p=20, alpha=10.0, seed=2)
+    with pytest.raises(SingularMatrixError, match="sigma"):
+        mv_loss(spec.build(), spec.build())
+    report = run_monte_carlo(spec, 40, 2, ["naive", "lp"], seed=1)
+    assert all(row.failures == 2 for row in report.rows.values())

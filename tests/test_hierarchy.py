@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from covdenoise.errors import ParameterError
-from covdenoise.hierarchy import cluster_members, cophenetic_matrix, linkage
+from covdenoise.hierarchy import cophenetic_matrix, linkage
+
+
+def cluster_members(merges, p):
+    """Leaf index sets for every label (leaves first, then merge order)."""
+    members = [np.array([i]) for i in range(p)]
+    for merge in merges:
+        members.append(np.concatenate((members[merge.left], members[merge.right])))
+    return members
 
 
 def brute_force_average_linkage(distance):
@@ -110,3 +118,44 @@ def test_tie_break_is_lexicographic():
 def test_rejects_unknown_method():
     with pytest.raises(ParameterError):
         linkage(np.zeros((2, 2)), "ward")
+
+
+def reference_cophenetic_matrix(merges, p):
+    """The earlier scatter implementation, kept as an equivalence oracle."""
+    members = cluster_members(merges, p)
+    coph = np.zeros((p, p))
+    for merge in merges:
+        left, right = members[merge.left], members[merge.right]
+        coph[np.ix_(left, right)] = merge.height
+        coph[np.ix_(right, left)] = merge.height
+    return coph
+
+
+def correlation_distance(rng, p, decimals=None):
+    corr = np.corrcoef(rng.standard_normal((p, 2 * p + 3)))
+    if decimals is not None:
+        corr = np.round(corr, decimals)  # many tied distances
+    distance = 1.0 - corr
+    np.fill_diagonal(distance, 0.0)
+    return distance
+
+
+@pytest.mark.parametrize("method", ["average", "single"])
+@pytest.mark.parametrize("decimals", [None, 1], ids=["tie-free", "tied"])
+def test_cophenetic_matches_scatter_reference_bitwise(method, decimals):
+    rng = np.random.default_rng(2024)
+    for p in (2, 3, 5, 17, 64, 99, 150):
+        merges = linkage(correlation_distance(rng, p, decimals), method)
+        assert np.array_equal(
+            cophenetic_matrix(merges, p), reference_cophenetic_matrix(merges, p)
+        ), (method, decimals, p)
+
+
+def test_cophenetic_of_partial_dendrogram_matches_reference():
+    rng = np.random.default_rng(7)
+    p = 12
+    merges = linkage(correlation_distance(rng, p, 1), "average")
+    for k in range(p):
+        assert np.array_equal(
+            cophenetic_matrix(merges[:k], p), reference_cophenetic_matrix(merges[:k], p)
+        )
