@@ -9,13 +9,13 @@ estimate, so the engine is free of look-ahead by construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from .atomic import atomic_write
 from .covariance import CovarianceMatrix, symmetrize
 from .errors import CovDenoiseError, DataError, ParameterError
 from .estimators import TRAINED_COVARIANCE, TRAINED_EIGENVECTOR, ESTIMATOR_NAMES, make_estimator
@@ -292,34 +292,27 @@ def uniform_portfolio(panel: ReturnsPanel, config: WalkForwardConfig) -> Backtes
     )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:
     """Emit metrics JSON, weights CSV, daily-returns CSV and wealth CSV."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "metrics": out / "metrics.json",
         "weights": out / "weights.csv",
         "returns": out / "daily_returns.csv",
         "wealth": out / "wealth.csv",
     }
-    _atomic_write(paths["metrics"], report.metrics.to_json_text())
+    atomic_write(paths["metrics"], report.metrics.to_json_text())
     lines = ["date," + ",".join(report.symbols)]
     for date, allocation in zip(report.rebalance_dates, report.weight_history):
         lines.append(date + "," + ",".join(repr(float(v)) for v in allocation.weights))
-    _atomic_write(paths["weights"], "\n".join(lines) + "\n")
+    atomic_write(paths["weights"], "\n".join(lines) + "\n")
     lines = ["date,portfolio_return"]
     for date, value in zip(report.daily_dates, report.daily_returns):
         lines.append(f"{date},{float(value)!r}")
-    _atomic_write(paths["returns"], "\n".join(lines) + "\n")
+    atomic_write(paths["returns"], "\n".join(lines) + "\n")
     wealth = np.cumprod(1.0 + report.daily_returns)
     lines = ["date,wealth"]
     for date, value in zip(report.daily_dates, wealth):
         lines.append(f"{date},{float(value)!r}")
-    _atomic_write(paths["wealth"], "\n".join(lines) + "\n")
+    atomic_write(paths["wealth"], "\n".join(lines) + "\n")
     return paths

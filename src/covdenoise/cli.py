@@ -8,7 +8,6 @@ flags always win over the file, which wins over built-in defaults.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import replace
 from datetime import date
@@ -17,6 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .atomic import atomic_write
 from .backtest import (
     WalkForwardConfig,
     buy_and_hold,
@@ -48,13 +48,6 @@ from .models import ModelKind, ModelSpec
 from .spectral import cov_to_corr
 
 DEFAULT_BLOCK_SIZES = "3,3,4,5,6,7,7,9,11,13,15,17"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _numeric_failure(message: str) -> click.ClickException:
@@ -226,8 +219,8 @@ def simulate(ctx: click.Context, **options) -> None:
         threads=options["threads"],
     )
     out = Path(options["out_dir"])
-    _atomic_write(out / "report.csv", report.to_csv_text())
-    _atomic_write(out / "report.json", report.to_json_text())
+    atomic_write(out / "report.csv", report.to_csv_text())
+    atomic_write(out / "report.json", report.to_json_text())
     click.echo(f"{'estimator':<12}{'mean_f':>14}{'se_f':>12}{'mean_mv':>14}{'se_mv':>12}{'failures':>10}")
     for name in report.estimators:
         row = report.rows[name]
@@ -245,14 +238,14 @@ def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
     eigenvalues = np.linalg.eigvalsh(sigma.values)[::-1]
     lines = ["rank,eigenvalue"]
     lines += [f"{i + 1},{float(value)!r}" for i, value in enumerate(eigenvalues)]
-    _atomic_write(out / "scree.csv", "\n".join(lines) + "\n")
+    atomic_write(out / "scree.csv", "\n".join(lines) + "\n")
     corr, _ = cov_to_corr(sigma)
     distance = 1.0 - corr
     np.fill_diagonal(distance, 0.0)
     merges = linkage(distance, "single")
     lines = ["left,right,height,size"]
     lines += [f"{m.left},{m.right},{m.height!r},{m.size}" for m in merges]
-    _atomic_write(out / "dendrogram.csv", "\n".join(lines) + "\n")
+    atomic_write(out / "dendrogram.csv", "\n".join(lines) + "\n")
 
 
 @cli.command()
@@ -338,7 +331,7 @@ def train_command(ctx: click.Context, **options) -> None:
     for epoch, value in enumerate(history.train_mse):
         val = history.validation_mse[epoch] if epoch < len(history.validation_mse) else ""
         lines.append(f"{epoch},{value!r},{val!r}" if val != "" else f"{epoch},{value!r},")
-    _atomic_write(Path(options["loss_curve_out"]), "\n".join(lines) + "\n")
+    atomic_write(options["loss_curve_out"], "\n".join(lines) + "\n")
     final = history.train_mse[-1] if history.train_mse else float("nan")
     click.echo(f"saved weights to {options['weights_out']} (final training MSE {final:.6g})")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ChecksumError, WeightsFormatError
 from .network import DenoiserConfig, DenoiserWeights, ResidualBlockWeights, tensor_shapes
 
@@ -71,8 +72,7 @@ def _parse_metadata(block: bytes) -> dict[str, str]:
 
 
 def save_weights(weights: DenoiserWeights, path) -> None:
-    """Write weights atomically (temp file + rename)."""
-    path = Path(path)
+    """Write weights atomically (unique temp file + rename)."""
     meta = _metadata_block(weights)
     body = bytearray()
     body += MAGIC
@@ -81,9 +81,7 @@ def save_weights(weights: DenoiserWeights, path) -> None:
     for tensor in weights.tensors():
         body += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(body))
-    tmp.replace(path)
+    atomic_write(path, bytes(body))
 
 
 def load_weights(path) -> DenoiserWeights:

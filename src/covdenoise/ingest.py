@@ -15,7 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError, ParameterError
+
+
+def _check_axes(dates: tuple[str, ...], symbols: tuple[str, ...]) -> None:
+    """Dates strictly increase and no symbol repeats; names the first offender."""
+    for previous, date in zip(dates, dates[1:]):
+        if date <= previous:
+            raise DataError(f"dates must be strictly increasing: {date!r} follows {previous!r}")
+    seen: set[str] = set()
+    for symbol in symbols:
+        if symbol in seen:
+            raise DataError(f"duplicate symbol {symbol!r}")
+        seen.add(symbol)
 
 
 @dataclass(frozen=True)
@@ -33,8 +46,7 @@ class PricePanel:
                 f"price block {prices.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.symbols)} symbols"
             )
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise DataError("dates must be strictly increasing")
+        _check_axes(self.dates, self.symbols)
         object.__setattr__(self, "prices", prices)
 
 
@@ -51,6 +63,7 @@ class ReturnsPanel:
                 f"returns block {values.shape} does not match "
                 f"{len(self.symbols)} symbols x {len(self.dates)} dates"
             )
+        _check_axes(self.dates, self.symbols)
         if not np.all(np.isfinite(values)):
             raise DataError("returns panel contains non-finite values")
         object.__setattr__(self, "values", values)
@@ -80,11 +93,6 @@ def load_prices(path) -> PricePanel:
     symbols = [token.strip() for token in header[1:]]
     if not symbols or any(not s for s in symbols):
         raise DataError(f"{path}: header must name at least one nonempty symbol")
-    seen: set[str] = set()
-    for symbol in symbols:
-        if symbol in seen:
-            raise DataError(f"{path}: duplicate symbol {symbol!r}")
-        seen.add(symbol)
     dates: list[str] = []
     rows: list[list[float]] = []
     seen_dates: set[str] = set()
@@ -128,7 +136,7 @@ def write_prices(panel: PricePanel, path) -> None:
     lines = ["date," + ",".join(panel.symbols)]
     for i, date in enumerate(panel.dates):
         lines.append(date + "," + ",".join(_format_price(v) for v in panel.prices[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _forward_fill(column: np.ndarray) -> np.ndarray | None:
@@ -238,7 +246,7 @@ def write_returns(panel: ReturnsPanel, path) -> None:
     lines = ["date," + ",".join(panel.symbols)]
     for i, date in enumerate(panel.dates):
         lines.append(date + "," + ",".join(repr(float(v)) for v in panel.values[:, i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_returns(path) -> ReturnsPanel:

@@ -1,3 +1,5 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from covdenoise.ingest import ReturnsPanel
 
 def _panel(values):
     values = np.asarray(values, dtype=float)
-    dates = tuple(f"2024-01-{day + 1:02d}" for day in range(values.shape[1]))
+    first = dt.date(2024, 1, 1)
+    dates = tuple((first + dt.timedelta(days=day)).isoformat() for day in range(values.shape[1]))
     symbols = tuple(f"A{i}" for i in range(values.shape[0]))
     return ReturnsPanel(dates=dates, symbols=symbols, values=values)
 

@@ -6,6 +6,7 @@ import pytest
 from covdenoise import (
     DataError,
     PricePanel,
+    ReturnsPanel,
     clean_panel,
     clean_panel_report,
     load_prices,
@@ -52,6 +53,38 @@ def test_load_rejects_duplicates_and_bad_dates(tmp_path):
     bad_date = write_csv(tmp_path / "c.csv", "date,A\n01/02/2024,1\n2024-01-02,1\n")
     with pytest.raises(DataError, match="malformed date"):
         load_prices(bad_date)
+
+
+def _ones_panel(panel_class, dates, symbols):
+    # PricePanel holds (dates, symbols); ReturnsPanel holds (symbols, dates)
+    shape = (len(dates), len(symbols)) if panel_class is PricePanel else (len(symbols), len(dates))
+    return panel_class(dates, symbols, np.ones(shape))
+
+
+@pytest.mark.parametrize("panel_class", [PricePanel, ReturnsPanel])
+def test_panels_reject_non_increasing_dates(panel_class):
+    with pytest.raises(DataError, match="'2021-01-01' follows '2021-01-02'"):
+        _ones_panel(panel_class, ("2021-01-02", "2021-01-01"), ("A", "B"))
+    with pytest.raises(DataError, match="'2021-01-02' follows '2021-01-02'"):
+        _ones_panel(panel_class, ("2021-01-01", "2021-01-02", "2021-01-02"), ("A",))
+
+
+@pytest.mark.parametrize("panel_class", [PricePanel, ReturnsPanel])
+def test_panels_reject_duplicate_symbols(panel_class):
+    with pytest.raises(DataError, match="duplicate symbol 'A'"):
+        _ones_panel(panel_class, ("2021-01-01", "2021-01-02"), ("A", "B", "A"))
+
+
+def test_load_returns_rejects_duplicate_symbols_and_unordered_dates(tmp_path):
+    dup_symbol = write_csv(tmp_path / "a.csv", "date,A,A\n2024-01-01,0.1,0.2\n2024-01-02,0.1,0.2\n")
+    with pytest.raises(DataError, match="duplicate symbol 'A'"):
+        load_returns(dup_symbol)
+    unordered = write_csv(tmp_path / "b.csv", "date,A\n2024-01-02,0.1\n2024-01-01,0.2\n")
+    with pytest.raises(DataError, match="'2024-01-01' follows '2024-01-02'"):
+        load_returns(unordered)
+    repeated = write_csv(tmp_path / "c.csv", "date,A\n2024-01-01,0.1\n2024-01-01,0.2\n")
+    with pytest.raises(DataError, match="'2024-01-01' follows '2024-01-01'"):
+        load_returns(repeated)
 
 
 def test_price_roundtrip_with_missing_cells(tmp_path):
