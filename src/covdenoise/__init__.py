@@ -34,6 +34,7 @@ from .estimators import (
     estimate_naive,
     estimate_two_step,
     make_estimator,
+    network_mode,
     shrink_eigenvalues,
 )
 from .evaluation import MonteCarloReport, frobenius_loss, mv_loss, run_monte_carlo

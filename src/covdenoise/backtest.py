@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .atomic import atomic_write
-from .covariance import CovarianceMatrix, symmetrize
-from .errors import CovDenoiseError, DataError, ParameterError
-from .estimators import TRAINED_COVARIANCE, TRAINED_EIGENVECTOR, ESTIMATOR_NAMES, make_estimator
+from .covariance import CovarianceMatrix, window_covariance
+from .errors import CovDenoiseError, ParameterError
+from .estimators import make_estimator, network_mode
 from .ingest import ReturnsPanel
 from .portfolio import PerformanceMetrics, WeightVector, mvp_plus_weights, portfolio_metrics
 from .spectral import cov_to_corr, invert_permutation, spectral_seriation
@@ -44,19 +44,13 @@ class WalkForwardConfig:
     def __post_init__(self) -> None:
         if self.t_in < 2 or self.t_out < 2 or self.delta_t < 2:
             raise ParameterError("t_in, t_out and delta_t must all be >= 2")
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ParameterError(
-                f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}"
-            )
+        mode = network_mode(self.estimator)
         if self.return_mode not in RETURN_MODES:
             raise ParameterError(f"return_mode must be one of {RETURN_MODES}")
-        if self._needs_training() and self.train_window_count < 2:
+        if mode is not None and self.train_window_count < 2:
             raise ParameterError("trained estimators need train_window_count >= 2")
         if self.train_stride < 1 or self.pre_history_days < 0:
             raise ParameterError("train_stride must be >= 1 and pre_history_days >= 0")
-
-    def _needs_training(self) -> bool:
-        return self.estimator in TRAINED_COVARIANCE + TRAINED_EIGENVECTOR
 
 
 @dataclass
@@ -85,13 +79,6 @@ def _rebalance_count(available: int, t_out: int, delta_t: int) -> int:
     return (available - t_out) // delta_t + 1
 
 
-def _window_covariance(window: np.ndarray) -> CovarianceMatrix:
-    cov = symmetrize(window @ window.T / window.shape[1])
-    if np.any(np.diag(cov) <= 0.0):
-        raise DataError("degenerate variance: an asset has zero variance in-sample")
-    return CovarianceMatrix(cov, "sample")
-
-
 def _hold_period(
     weights: np.ndarray, window: np.ndarray, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,10 +97,9 @@ def _hold_period(
     return out, holdings
 
 
-def _train_window_weights(config: WalkForwardConfig, training_block: np.ndarray):
+def _train_window_weights(config: WalkForwardConfig, mode: str, training_block: np.ndarray):
     from .denoiser import build_training_set_rolling, train
 
-    mode = "covariance" if config.estimator in TRAINED_COVARIANCE else "eigenvectors"
     if config.denoiser_config is None:
         raise ParameterError(f"estimator {config.estimator!r} requires a denoiser configuration")
     data = build_training_set_rolling(
@@ -126,18 +112,15 @@ def _train_window_weights(config: WalkForwardConfig, training_block: np.ndarray)
     return train(replace(config.denoiser_config, mode=mode), data)
 
 
-def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestReport:
-    """Run the rolling estimate/allocate/hold loop over the panel."""
-    split = _split_index(panel, config.split_date)
-    needs_training = config._needs_training()
-    history_needed = config.t_in + (config.pre_history_days if needs_training else 0)
-    if split < history_needed:
-        raise ParameterError(
-            f"insufficient history before the split date: have {split} days, "
-            f"need {history_needed} ({history_needed - split} more)"
-        )
+def _rebalance_loop(
+    panel: ReturnsPanel,
+    config: WalkForwardConfig,
+    split: int,
+    allocate: Callable[[int, int], tuple[WeightVector, dict]],
+) -> BacktestReport:
+    """Rebalance at every ``delta_t`` days from ``split``, hold each target
+    ``allocate(window, boundary)`` for ``t_out`` days, and aggregate."""
     count = _rebalance_count(panel.n_dates - split, config.t_out, config.delta_t)
-
     weight_history: list[WeightVector] = []
     pre_rebalance: list[np.ndarray] = []
     rebalance_dates: list[str] = []
@@ -148,49 +131,7 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
 
     for k in range(count):
         boundary = split + k * config.delta_t
-        in_sample = panel.values[:, boundary - config.t_in:boundary]
-        order = None
-        if needs_training and config.seriation_per_window:
-            corr, _ = cov_to_corr(_window_covariance(in_sample))
-            order = spectral_seriation(corr)
-        window_diag: dict = {"window": k, "date": panel.dates[boundary]}
-        if needs_training:
-            block = panel.values[:, boundary - config.t_in - config.pre_history_days:boundary]
-            if order is not None:
-                block = block[order, :]
-            weights_net, training_history = _train_window_weights(config, block)
-            window_diag["final_train_mse"] = (
-                training_history.train_mse[-1] if training_history.train_mse else None
-            )
-            window_diag["final_validation_mse"] = (
-                training_history.validation_mse[-1] if training_history.validation_mse else None
-            )
-            kw = (
-                {"cov_weights": weights_net}
-                if config.estimator in TRAINED_COVARIANCE
-                else {"vec_weights": weights_net}
-            )
-        else:
-            kw = {}
-        estimator = make_estimator(config.estimator, config.t_in, **kw)
-        sample = _window_covariance(in_sample if order is None else in_sample[order, :])
-        eigenvalues = np.linalg.eigvalsh(sample.values)
-        window_diag["in_sample_condition"] = float(
-            eigenvalues[-1] / max(eigenvalues[0], 1e-300)
-        )
-        try:
-            estimate = estimator(sample)
-        except CovDenoiseError as exc:
-            raise type(exc)(
-                f"estimator {config.estimator!r} failed at rebalance window {k} "
-                f"({panel.dates[boundary]}): {exc}"
-            ) from exc
-        values = estimate.values
-        if order is not None:
-            undo = invert_permutation(order)
-            values = values[np.ix_(undo, undo)]
-            estimate = CovarianceMatrix(values, estimate.provenance)
-        allocation = mvp_plus_weights(estimate)
+        allocation, window_diag = allocate(k, boundary)
         if drifted is not None:
             pre_rebalance.append(drifted)
         weight_history.append(allocation)
@@ -218,6 +159,59 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
         symbols=panel.symbols,
         diagnostics=diagnostics,
     )
+
+
+def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestReport:
+    """Run the rolling estimate/allocate/hold loop over the panel."""
+    split = _split_index(panel, config.split_date)
+    mode = network_mode(config.estimator)
+    history_needed = config.t_in + (config.pre_history_days if mode else 0)
+    if split < history_needed:
+        raise ParameterError(
+            f"insufficient history before the split date: have {split} days, "
+            f"need {history_needed} ({history_needed - split} more)"
+        )
+
+    def allocate(k: int, boundary: int) -> tuple[WeightVector, dict]:
+        in_sample = panel.values[:, boundary - config.t_in:boundary]
+        order = None
+        if mode and config.seriation_per_window:
+            corr, _ = cov_to_corr(CovarianceMatrix(window_covariance(in_sample), "sample"))
+            order = spectral_seriation(corr)
+        window_diag: dict = {"window": k, "date": panel.dates[boundary]}
+        weights_net = None
+        if mode:
+            block = panel.values[:, boundary - config.t_in - config.pre_history_days:boundary]
+            if order is not None:
+                block = block[order, :]
+            weights_net, training_history = _train_window_weights(config, mode, block)
+            window_diag["final_train_mse"] = (
+                training_history.train_mse[-1] if training_history.train_mse else None
+            )
+            window_diag["final_validation_mse"] = (
+                training_history.validation_mse[-1] if training_history.validation_mse else None
+            )
+        estimator = make_estimator(config.estimator, config.t_in, weights=weights_net)
+        sample = CovarianceMatrix(
+            window_covariance(in_sample if order is None else in_sample[order, :]), "sample"
+        )
+        eigenvalues = np.linalg.eigvalsh(sample.values)
+        window_diag["in_sample_condition"] = float(
+            eigenvalues[-1] / max(eigenvalues[0], 1e-300)
+        )
+        try:
+            estimate = estimator(sample)
+        except CovDenoiseError as exc:
+            raise type(exc)(
+                f"estimator {config.estimator!r} failed at rebalance window {k} "
+                f"({panel.dates[boundary]}): {exc}"
+            ) from exc
+        if order is not None:
+            undo = invert_permutation(order)
+            estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
+        return mvp_plus_weights(estimate), window_diag
+
+    return _rebalance_loop(panel, config, split, allocate)
 
 
 def buy_and_hold(panel: ReturnsPanel, symbol: str, config: WalkForwardConfig) -> BacktestReport:
@@ -248,48 +242,19 @@ def buy_and_hold(panel: ReturnsPanel, symbol: str, config: WalkForwardConfig) ->
 def uniform_portfolio(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestReport:
     """Equal-weight allocation re-established at every rebalance."""
     split = _split_index(panel, config.split_date)
-    count = _rebalance_count(panel.n_dates - split, config.t_out, config.delta_t)
     p = len(panel.symbols)
     uniform = np.full(p, 1.0 / p)
-    weight_history: list[WeightVector] = []
-    pre_rebalance: list[np.ndarray] = []
-    rebalance_dates: list[str] = []
-    daily_returns: list[np.ndarray] = []
-    daily_dates: list[str] = []
-    drifted: np.ndarray | None = None
-    for k in range(count):
-        boundary = split + k * config.delta_t
-        if drifted is not None:
-            pre_rebalance.append(drifted)
-        weight_history.append(WeightVector(uniform.copy(), long_only=True))
-        rebalance_dates.append(panel.dates[boundary])
-        hold = panel.values[:, boundary:boundary + config.t_out]
-        returns, drifted = _hold_period(uniform, hold, config.return_mode)
-        daily_returns.append(returns)
-        daily_dates.extend(panel.dates[boundary:boundary + config.t_out])
-    series = np.concatenate(daily_returns)
-    metrics = portfolio_metrics(
-        series,
-        [w.weights for w in weight_history],
-        config.periods_per_year,
-        pre_rebalance_weights=pre_rebalance,
+    report = _rebalance_loop(
+        panel, config, split, lambda k, boundary: (WeightVector(uniform, long_only=True), {})
     )
     # reset-per-rebalance turnover (used in metrics) next to the target-vs-target view
-    diagnostics = [
+    report.diagnostics = [
         {
-            "turnover_reset_from_drift": metrics.turnover,
+            "turnover_reset_from_drift": report.metrics.turnover,
             "turnover_target_vs_target": 0.0,
         }
     ]
-    return BacktestReport(
-        rebalance_dates=rebalance_dates,
-        weight_history=weight_history,
-        daily_dates=daily_dates,
-        daily_returns=series,
-        metrics=metrics,
-        symbols=panel.symbols,
-        diagnostics=diagnostics,
-    )
+    return report
 
 
 def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:

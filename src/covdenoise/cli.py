@@ -32,7 +32,7 @@ from .denoiser import (
     train,
 )
 from .errors import DataError, NumericError, ParameterError
-from .estimators import ESTIMATOR_NAMES, TRAINED_COVARIANCE, TRAINED_EIGENVECTOR
+from .estimators import ESTIMATOR_NAMES, network_mode
 from .evaluation import run_monte_carlo
 from .hierarchy import linkage
 from .ingest import (
@@ -202,11 +202,8 @@ def simulate(ctx: click.Context, **options) -> None:
     options = _apply_config(ctx, options)
     spec = _model_spec(options)
     names = [tok.strip() for tok in options["estimators"].split(",") if tok.strip()]
-    for name in names:
-        if name not in ESTIMATOR_NAMES:
-            raise click.UsageError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
     denoiser = None
-    if any(name in TRAINED_COVARIANCE + TRAINED_EIGENVECTOR for name in names):
+    if any(network_mode(name) for name in names):
         denoiser = _denoiser_config(options, spec.p)
     report = run_monte_carlo(
         spec,
@@ -367,7 +364,7 @@ def backtest_command(ctx: click.Context, **options) -> None:
     options = _apply_config(ctx, options)
     split_date = _split_date(options["split_date"])
     panel = load_returns(options["returns_path"])
-    needs_net = options["estimator"] in TRAINED_COVARIANCE + TRAINED_EIGENVECTOR
+    needs_net = network_mode(options["estimator"]) is not None
     config = WalkForwardConfig(
         split_date=split_date,
         estimator=options["estimator"],

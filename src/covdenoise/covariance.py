@@ -1,4 +1,5 @@
-"""The validated covariance-matrix value type."""
+"""The validated covariance-matrix value type and the window covariance of
+returns."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 SYMMETRY_ABS_TOL = 1e-12
 PSD_REL_TOL = 1e-10
@@ -16,6 +17,14 @@ _PROVENANCE_FIXED = {"model-1", "model-2", "model-3", "sample"}
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def window_covariance(returns: np.ndarray) -> np.ndarray:
+    """Uncentred covariance R R^T / T of an (assets, days) returns window."""
+    cov = symmetrize(returns @ returns.T / returns.shape[1])
+    if np.any(np.diag(cov) <= 0.0):
+        raise DataError("degenerate variance: an asset has zero variance in the window")
+    return cov
 
 
 def as_matrix(m) -> np.ndarray:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..covariance import symmetrize
-from ..errors import DataError, NumericError, ParameterError
+from ..covariance import window_covariance
+from ..errors import NumericError, ParameterError
 from ..models import ModelSpec, sample_covariance
 from ..randomness import STREAM_SHUFFLE, STREAM_TRAINING, child_seed, generator
 from ..spectral import apply_sign_convention, eigendecompose_sym
@@ -106,14 +106,6 @@ def build_training_set_simulation(
     return TrainingSet(inputs=np.stack(inputs), targets=np.stack(targets))
 
 
-def _window_covariance(returns: np.ndarray) -> np.ndarray:
-    window = returns.shape[1]
-    cov = symmetrize(returns @ returns.T / window)
-    if np.any(np.diag(cov) <= 0.0):
-        raise DataError("degenerate variance: a window has a zero-variance asset")
-    return cov
-
-
 def build_training_set_rolling(
     returns, window_length: int, count: int, stride: int = 1, mode: str = "covariance"
 ) -> TrainingSet:
@@ -140,8 +132,8 @@ def build_training_set_rolling(
     targets = []
     for j in range(count):
         start = length - 2 * window_length - (count - 1 - j) * stride
-        left = _window_covariance(matrix[:, start:start + window_length])
-        right = _window_covariance(matrix[:, start + window_length:start + 2 * window_length])
+        left = window_covariance(matrix[:, start:start + window_length])
+        right = window_covariance(matrix[:, start + window_length:start + 2 * window_length])
         if mode == "covariance":
             inputs.append(left)
             targets.append(right)

@@ -1,15 +1,24 @@
 """Covariance estimators: naive, nonlinear eigenvalue shrinkage, hierarchical
-correlation filtering, and the compositions used by the evaluation harness.
+correlation filtering, the trained-network estimators, and the two-step
+compositions used by the evaluation harness.
 
 The shrinkage estimator keeps the sample eigenvectors and replaces each
 eigenvalue by the Ledoit-Wolf quadratic-inverse shrinkage value, a kernel
 estimate of the rotation-equivariant optimum that remains well behaved for
 heterogeneous spectra and in the singular p > n regime.
+
+One private table maps every estimator name to the mode of the network it
+needs (``"covariance"``, ``"eigenvectors"`` or none) and to its estimate
+function; each ``2s-<first>`` entry is derived from its first stage.
+:func:`network_mode` is the one place a name is validated, and
+:func:`make_estimator` checks that the weights it binds were trained in that
+mode.  Entries reach the estimate functions through their module-global
+names at call time, so a wrapper installed on the module sees every call.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -17,11 +26,6 @@ from .covariance import CovarianceMatrix, symmetrize
 from .errors import DataError, ParameterError
 from .hierarchy import cophenetic_matrix, linkage
 from .spectral import corr_to_cov, cov_to_corr
-
-ESTIMATOR_NAMES = ("naive", "lp", "cnn", "hybrid", "alca", "2s-lp", "2s-cnn", "2s-hybrid")
-
-TRAINED_COVARIANCE = ("cnn", "2s-cnn")
-TRAINED_EIGENVECTOR = ("hybrid", "2s-hybrid")
 
 
 def shrink_eigenvalues(eigenvalues: np.ndarray, n: int) -> np.ndarray:
@@ -130,47 +134,63 @@ def estimate_hybrid(s: CovarianceMatrix, n: int, weights) -> CovarianceMatrix:
     return assemble_hybrid(denoised, shrunk)
 
 
-def estimate_two_step(s: CovarianceMatrix, n: int, first: str, *, weights=None) -> CovarianceMatrix:
-    """First-step estimator followed by the hierarchical filter."""
-    if first not in ("lp", "cnn", "hybrid"):
-        raise ParameterError(f"two-step first stage must be lp, cnn or hybrid, got {first!r}")
-    if first == "lp":
-        stage = estimate_lp(s, n)
-    elif first == "cnn":
-        if weights is None:
-            raise ParameterError("two-step cnn stage requires trained weights")
-        stage = estimate_cnn(s, weights)
-    else:
-        if weights is None:
-            raise ParameterError("two-step hybrid stage requires trained weights")
-        stage = estimate_hybrid(s, n, weights)
-    return estimate_alca(stage).retagged(f"estimator:2s-{first}")
+class _Entry(NamedTuple):
+    mode: str | None  # DenoiserConfig.mode of the network needed, or None
+    estimate: Callable[[CovarianceMatrix, int, Any], CovarianceMatrix]  # (s, n, weights)
+
+
+def _two_step(first: str, stage: _Entry) -> _Entry:
+    """The first stage followed by the hierarchical filter."""
+    provenance = f"estimator:2s-{first}"
+    return _Entry(
+        stage.mode, lambda s, n, w: estimate_alca(stage.estimate(s, n, w)).retagged(provenance)
+    )
+
+
+_ESTIMATORS = {
+    "naive": _Entry(None, lambda s, n, w: estimate_naive(s)),
+    "lp": _Entry(None, lambda s, n, w: estimate_lp(s, n)),
+    "cnn": _Entry("covariance", lambda s, n, w: estimate_cnn(s, w)),
+    "hybrid": _Entry("eigenvectors", lambda s, n, w: estimate_hybrid(s, n, w)),
+    "alca": _Entry(None, lambda s, n, w: estimate_alca(s)),
+}
+_ESTIMATORS.update(
+    {f"2s-{first}": _two_step(first, _ESTIMATORS[first]) for first in ("lp", "cnn", "hybrid")}
+)
+
+ESTIMATOR_NAMES = tuple(_ESTIMATORS)
+
+
+def network_mode(name: str) -> str | None:
+    """The mode of the trained network the estimator needs, or None."""
+    if name not in _ESTIMATORS:
+        raise ParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    return _ESTIMATORS[name].mode
+
+
+def _check_weights(name: str, weights) -> None:
+    mode = network_mode(name)
+    if mode is None:
+        return
+    if weights is None:
+        raise ParameterError(f"estimator {name!r} requires {mode}-mode weights")
+    if weights.config.mode != mode:
+        raise ParameterError(
+            f"estimator {name!r} requires {mode}-mode weights, "
+            f"got {weights.config.mode}-mode weights"
+        )
 
 
 def make_estimator(
-    name: str,
-    n: int,
-    *,
-    cov_weights=None,
-    vec_weights=None,
+    name: str, n: int, weights=None
 ) -> Callable[[CovarianceMatrix], CovarianceMatrix]:
-    """Bind an estimator name to a single-argument callable."""
-    if name not in ESTIMATOR_NAMES:
-        raise ParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
-    if name in TRAINED_COVARIANCE and cov_weights is None:
-        raise ParameterError(f"estimator {name!r} requires covariance-mode weights")
-    if name in TRAINED_EIGENVECTOR and vec_weights is None:
-        raise ParameterError(f"estimator {name!r} requires eigenvector-mode weights")
-    if name == "naive":
-        return estimate_naive
-    if name == "lp":
-        return lambda s: estimate_lp(s, n)
-    if name == "cnn":
-        return lambda s: estimate_cnn(s, cov_weights)
-    if name == "hybrid":
-        return lambda s: estimate_hybrid(s, n, vec_weights)
-    if name == "alca":
-        return estimate_alca
-    first = name.split("-", 1)[1]
-    stage_weights = cov_weights if first == "cnn" else vec_weights if first == "hybrid" else None
-    return lambda s: estimate_two_step(s, n, first, weights=stage_weights)
+    """Bind an estimator name, its sample size and (for the trained
+    estimators) the network weights to a single-argument callable."""
+    _check_weights(name, weights)
+    estimate = _ESTIMATORS[name].estimate
+    return lambda s: estimate(s, n, weights)
+
+
+def estimate_two_step(s: CovarianceMatrix, n: int, first: str, *, weights=None) -> CovarianceMatrix:
+    """First-step estimator (lp, cnn or hybrid) followed by the hierarchical filter."""
+    return make_estimator(f"2s-{first}", n, weights)(s)

@@ -24,12 +24,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix, as_matrix
 from .errors import CovDenoiseError, ParameterError, SingularMatrixError
-from .estimators import (
-    ESTIMATOR_NAMES,
-    TRAINED_COVARIANCE,
-    TRAINED_EIGENVECTOR,
-    make_estimator,
-)
+from .estimators import make_estimator, network_mode
 from .models import ModelSpec, _draw_sample, _sqrt_from_spectrum
 from .randomness import STREAM_REALIZATION, child_seed
 
@@ -173,25 +168,23 @@ class MonteCarloReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _train_harness_weights(model, n, estimators, seed, denoiser_config, train_count):
-    """Train covariance/eigenvector nets once per run on seeds disjoint from
-    the evaluation realizations."""
+# training seed stream of each network mode
+_TRAINING_STREAMS = {"covariance": 10, "eigenvectors": 11}
+
+
+def _train_harness_weights(model, n, modes, seed, denoiser_config, train_count):
+    """Train one net per network mode in ``modes``, once per run, on seeds
+    disjoint from the evaluation realizations."""
     from .denoiser import build_training_set_simulation, train
 
-    cov_weights = vec_weights = None
-    if any(name in TRAINED_COVARIANCE for name in estimators):
-        config = replace(denoiser_config, mode="covariance")
-        data = build_training_set_simulation(
-            model, n, train_count, child_seed(seed, 10), mode="covariance"
-        )
-        cov_weights, _ = train(config, data)
-    if any(name in TRAINED_EIGENVECTOR for name in estimators):
-        config = replace(denoiser_config, mode="eigenvectors")
-        data = build_training_set_simulation(
-            model, n, train_count, child_seed(seed, 11), mode="eigenvectors"
-        )
-        vec_weights, _ = train(config, data)
-    return cov_weights, vec_weights
+    weights = {}
+    for mode, stream in _TRAINING_STREAMS.items():
+        if mode in modes:
+            data = build_training_set_simulation(
+                model, n, train_count, child_seed(seed, stream), mode=mode
+            )
+            weights[mode], _ = train(replace(denoiser_config, mode=mode), data)
+    return weights
 
 
 def run_monte_carlo(
@@ -208,22 +201,15 @@ def run_monte_carlo(
     if m < 1:
         raise ParameterError("m must be >= 1")
     names = tuple(estimators)
-    for name in names:
-        if name not in ESTIMATOR_NAMES:
-            raise ParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
-    needs_training = [n_ for n_ in names if n_ in TRAINED_COVARIANCE + TRAINED_EIGENVECTOR]
+    modes = {name: network_mode(name) for name in names}
+    needs_training = [name for name in names if modes[name]]
     if needs_training and denoiser_config is None:
         raise ParameterError(f"estimators {needs_training} require a denoiser configuration")
     sigma = model.build()
-    cov_weights = vec_weights = None
-    if needs_training:
-        cov_weights, vec_weights = _train_harness_weights(
-            model, n, names, seed, denoiser_config, train_count
-        )
-    bound = {
-        name: make_estimator(name, n, cov_weights=cov_weights, vec_weights=vec_weights)
-        for name in names
-    }
+    weights = _train_harness_weights(
+        model, n, set(modes.values()), seed, denoiser_config, train_count
+    )
+    bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
     # built before any realization runs; pool threads only read it
     target = _PopulationTarget.of(sigma)
 

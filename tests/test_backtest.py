@@ -244,3 +244,23 @@ def test_estimator_failure_names_window(rng, monkeypatch):
     config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=30, delta_t=30)
     with pytest.raises(NumericError, match="window 0"):
         walk_forward(panel, config)
+
+
+def test_uniform_shares_the_walk_forward_calendar(rng):
+    panel = iid_panel(rng, 3, 200)
+    config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=30, delta_t=25)
+    uniform = uniform_portfolio(panel, config)
+    naive = walk_forward(panel, config)
+    assert uniform.rebalance_dates == naive.rebalance_dates
+    assert uniform.daily_dates == naive.daily_dates
+    for allocation in uniform.weight_history:
+        assert np.array_equal(allocation.weights, np.full(3, 1.0 / 3.0))
+
+
+def test_uniform_needs_no_estimation_history(rng):
+    panel = iid_panel(rng, 3, 100)
+    config = WalkForwardConfig(split_date=panel.dates[0], t_in=30, t_out=30, delta_t=30)
+    with pytest.raises(ParameterError, match="insufficient history"):
+        walk_forward(panel, config)
+    report = uniform_portfolio(panel, config)
+    assert report.rebalance_dates == [panel.dates[0], panel.dates[30], panel.dates[60]]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import covdenoise.spectral as spectral
-from covdenoise import CovarianceMatrix, ParameterError, estimate_lp, sample_covariance
+from covdenoise import CovarianceMatrix, DataError, ParameterError, estimate_lp, sample_covariance
+from covdenoise.covariance import window_covariance
 from covdenoise.estimators import estimate_two_step
 from covdenoise.models import build_block_model
 from conftest import random_psd
@@ -53,3 +54,17 @@ def test_sample_is_decomposed_at_most_once(monkeypatch):
     estimate_two_step(s, n, "lp")
     tagged.decomposition
     assert len(calls) == 1
+
+
+def test_window_covariance_is_the_uncentred_second_moment(rng):
+    returns = rng.standard_normal((4, 25))
+    cov = window_covariance(returns)
+    assert np.array_equal(cov, cov.T)
+    assert np.allclose(cov, returns @ returns.T / 25, rtol=1e-14, atol=0.0)
+
+
+def test_window_covariance_rejects_a_zero_variance_asset(rng):
+    returns = rng.standard_normal((3, 10))
+    returns[1] = 0.0
+    with pytest.raises(DataError, match="zero variance"):
+        window_covariance(returns)
