@@ -176,7 +176,7 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
         in_sample = panel.values[:, boundary - config.t_in:boundary]
         order = None
         if mode and config.seriation_per_window:
-            corr, _ = cov_to_corr(CovarianceMatrix(window_covariance(in_sample), "sample"))
+            corr, _ = cov_to_corr(window_covariance(in_sample))
             order = spectral_seriation(corr)
         window_diag: dict = {"window": k, "date": panel.dates[boundary]}
         weights_net = None
@@ -195,7 +195,7 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
         sample = CovarianceMatrix(
             window_covariance(in_sample if order is None else in_sample[order, :]), "sample"
         )
-        eigenvalues = np.linalg.eigvalsh(sample.values)
+        eigenvalues, _ = sample.spectrum
         window_diag["in_sample_condition"] = float(
             eigenvalues[-1] / max(eigenvalues[0], 1e-300)
         )

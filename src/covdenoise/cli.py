@@ -232,7 +232,7 @@ def simulate(ctx: click.Context, **options) -> None:
 
 def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
     sigma = spec.build()
-    eigenvalues = np.linalg.eigvalsh(sigma.values)[::-1]
+    eigenvalues = sigma.decomposition.eigenvalues
     lines = ["rank,eigenvalue"]
     lines += [f"{i + 1},{float(value)!r}" for i, value in enumerate(eigenvalues)]
     atomic_write(out / "scree.csv", "\n".join(lines) + "\n")

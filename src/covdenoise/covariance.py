@@ -1,5 +1,11 @@
 """The validated covariance-matrix value type and the window covariance of
-returns."""
+returns.
+
+A :class:`CovarianceMatrix` is frozen after validation, so its ascending
+spectrum is computed once and cached; the descending decomposition, the
+sampling root, the minimum-variance loss and the portfolio allocation all
+read it.
+"""
 
 from __future__ import annotations
 
@@ -38,8 +44,8 @@ class CovarianceMatrix:
 
     Invariants checked at construction: symmetry to 1e-12 absolute, minimum
     eigenvalue >= -1e-10 * maximum eigenvalue, strictly positive diagonal.
-    The array is frozen (read-only) after validation, so its descending
-    eigendecomposition is computed on first use and cached.
+    The array is frozen (read-only) after validation, so its spectrum is
+    computed on first use and cached.
     """
 
     values: np.ndarray
@@ -75,17 +81,35 @@ class CovarianceMatrix:
         object.__setattr__(self, "_cache", {})
 
     @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending ``np.linalg.eigh`` of the values as read-only
+        (eigenvalues, eigenvectors), computed once.
+
+        Not locked: a matrix shared between threads must have its spectrum
+        filled before the threads start.
+        """
+        if "spectrum" not in self._cache:
+            from .spectral import ascending_spectrum
+
+            eigenvalues, vectors = ascending_spectrum(self.values)
+            eigenvalues.flags.writeable = False
+            vectors.flags.writeable = False
+            self._cache["spectrum"] = (eigenvalues, vectors)
+        return self._cache["spectrum"]
+
+    @property
     def decomposition(self):
-        """The :func:`~covdenoise.spectral.eigendecompose_sym` result, computed once."""
+        """The :func:`~covdenoise.spectral.eigendecompose_sym` result, computed
+        once from :attr:`spectrum`."""
         if "decomposition" not in self._cache:
             from .spectral import eigendecompose_sym
 
-            self._cache["decomposition"] = eigendecompose_sym(self.values)
+            self._cache["decomposition"] = eigendecompose_sym(self)
         return self._cache["decomposition"]
 
     def retagged(self, provenance: str) -> "CovarianceMatrix":
-        """The same validated, frozen values and decomposition cache under a
-        new provenance tag; only the tag is checked."""
+        """The same validated, frozen values and spectrum cache under a new
+        provenance tag; only the tag is checked."""
         _check_provenance(provenance)
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, provenance=provenance)

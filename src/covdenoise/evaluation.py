@@ -6,31 +6,26 @@ and minimum-variance losses per estimator.  Realizations run on independent
 sub-seeds and may be evaluated on a thread pool; aggregation is by
 realization index, so thread scheduling never changes the results.
 
-Each matrix is decomposed once: the population matrix once per run (its
-square root draws every realization, its inverse enters every
-minimum-variance loss), and each sample once, shared by every estimator
-that needs its spectrum.  The results are bitwise those of calling
-``models.sample_covariance`` and :func:`mv_loss` afresh per realization.
+Each realization calls ``models.sample_covariance`` and :func:`mv_loss`
+directly.  Both read the cached spectrum of their ``CovarianceMatrix``
+arguments, so the population matrix is decomposed once per run and each
+sample once, shared by every estimator and loss that needs its spectrum.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, as_matrix
-from .errors import CovDenoiseError, ParameterError, SingularMatrixError
+from .covariance import as_matrix
+from .errors import CovDenoiseError, ParameterError
 from .estimators import make_estimator, network_mode
-from .models import ModelSpec, _draw_sample, _sqrt_from_spectrum
+from .models import ModelSpec, sample_covariance
 from .randomness import STREAM_REALIZATION, child_seed
-
-logger = logging.getLogger(__name__)
-
-MV_EIGENVALUE_FLOOR = 1e-12
+from .spectral import floored_spectrum
 
 
 def frobenius_loss(xi, sigma) -> float:
@@ -43,24 +38,9 @@ def frobenius_loss(xi, sigma) -> float:
     return float(np.sum(diff * diff) / sigma.shape[0])
 
 
-def _inverse_from_spectrum(
-    eigenvalues: np.ndarray, vectors: np.ndarray, name: str, floor_allowed: bool
-) -> np.ndarray:
-    """Inverse from an ascending ``eigh`` result, flooring eigenvalues at
-    1e-12 times the largest where allowed."""
-    top = eigenvalues[-1]
-    if top <= 0.0:
-        raise SingularMatrixError(f"{name} has no positive eigenvalues")
-    floor = MV_EIGENVALUE_FLOOR * top
-    deficient = int(np.sum(eigenvalues <= floor))
-    if deficient:
-        if not floor_allowed:
-            raise SingularMatrixError(
-                f"{name} is singular ({deficient} eigenvalues at or below {floor:.3e})"
-            )
-        logger.debug("mv_loss: floored %d eigenvalues of %s", deficient, name)
-    clamped = np.maximum(eigenvalues, floor)
-    return (vectors / clamped) @ vectors.T
+def _floored_inverse(m, name: str, singular_ok: bool) -> np.ndarray:
+    eigenvalues, vectors = floored_spectrum(m, name, singular_ok)
+    return (vectors / eigenvalues) @ vectors.T
 
 
 def mv_loss(xi, sigma) -> float:
@@ -73,49 +53,12 @@ def mv_loss(xi, sigma) -> float:
     sigma_values = as_matrix(sigma)
     if xi_values.shape != sigma_values.shape:
         raise ParameterError(f"dimension mismatch: {xi_values.shape} vs {sigma_values.shape}")
-    sigma_inv = _inverse_from_spectrum(
-        *np.linalg.eigh(sigma_values), "sigma", floor_allowed=False
-    )
-    return _mv_loss(xi_values, sigma_inv, float(np.trace(sigma_inv)))
-
-
-def _mv_loss(xi_values: np.ndarray, sigma_inv: np.ndarray, sigma_inv_trace: float) -> float:
-    """:func:`mv_loss` given Sigma's inverse and its trace."""
-    p = sigma_inv.shape[0]
-    xi_inv = _inverse_from_spectrum(*np.linalg.eigh(xi_values), "xi", floor_allowed=True)
+    p = sigma_values.shape[0]
+    sigma_inv = _floored_inverse(sigma, "sigma", singular_ok=False)
+    xi_inv = _floored_inverse(xi, "xi", singular_ok=True)
     numerator = float(np.trace(sigma_inv @ xi_values @ sigma_inv)) / p
-    denominator = (sigma_inv_trace / p) ** 2
+    denominator = (float(np.trace(sigma_inv)) / p) ** 2
     return numerator / denominator - 1.0 / (float(np.trace(xi_inv)) / p)
-
-
-@dataclass(frozen=True)
-class _PopulationTarget:
-    """Sigma decomposed once per run: the square root that draws samples and
-    the inverse (with its trace) that every minimum-variance loss needs.
-
-    A singular Sigma can still be sampled; its inverse is replaced by the
-    error every loss then raises, exactly as :func:`mv_loss` would.
-    """
-
-    root: np.ndarray
-    inverse: np.ndarray | None
-    inverse_trace: float
-    singular: str | None
-
-    @classmethod
-    def of(cls, sigma: CovarianceMatrix) -> "_PopulationTarget":
-        eigenvalues, vectors = np.linalg.eigh(sigma.values)
-        root = _sqrt_from_spectrum(eigenvalues, vectors)
-        try:
-            inverse = _inverse_from_spectrum(eigenvalues, vectors, "sigma", floor_allowed=False)
-        except SingularMatrixError as exc:
-            return cls(root, None, np.nan, str(exc))
-        return cls(root, inverse, float(np.trace(inverse)), None)
-
-    def mv_loss(self, xi) -> float:
-        if self.inverse is None:
-            raise SingularMatrixError(self.singular)
-        return _mv_loss(as_matrix(xi), self.inverse, self.inverse_trace)
 
 
 @dataclass(frozen=True)
@@ -210,19 +153,18 @@ def run_monte_carlo(
         model, n, set(modes.values()), seed, denoiser_config, train_count
     )
     bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
-    # built before any realization runs; pool threads only read it
-    target = _PopulationTarget.of(sigma)
+    sigma.spectrum  # filled before any realization runs; pool threads only read it
 
     losses_f = {name: np.full(m, np.nan) for name in names}
     losses_mv = {name: np.full(m, np.nan) for name in names}
 
     def one_realization(index: int) -> None:
-        draw = _draw_sample(target.root, n, child_seed(seed, STREAM_REALIZATION, index))
+        draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
         for name in names:
             try:
                 estimate = bound[name](draw.sample)
                 losses_f[name][index] = frobenius_loss(estimate, sigma)
-                losses_mv[name][index] = target.mv_loss(estimate)
+                losses_mv[name][index] = mv_loss(estimate, sigma)
             except (CovDenoiseError, np.linalg.LinAlgError):
                 losses_f[name][index] = np.nan
                 losses_mv[name][index] = np.nan

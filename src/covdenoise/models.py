@@ -154,12 +154,8 @@ def build_powerlaw_model(p: int, alpha: float, seed: int) -> CovarianceMatrix:
 
 
 def matrix_sqrt_psd(sigma: CovarianceMatrix) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition; clamps tiny negatives."""
-    return _sqrt_from_spectrum(*np.linalg.eigh(sigma.values))
-
-
-def _sqrt_from_spectrum(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Square root from an ascending ``eigh`` result."""
+    """Symmetric PSD square root from the cached spectrum; clamps tiny negatives."""
+    eigenvalues, vectors = sigma.spectrum
     if eigenvalues[0] < -1e-10 * max(eigenvalues[-1], 0.0):
         raise NumericError(
             f"matrix square root of a non-PSD input (min eig {eigenvalues[0]:.3e})"
@@ -170,14 +166,10 @@ def _sqrt_from_spectrum(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndar
 
 def sample_covariance(sigma: CovarianceMatrix, n: int, seed: int) -> SampleDraw:
     """Draw Y = sqrt(Sigma) X with X ~ N(0,1)^(p x n); S = Y Y^T / n."""
-    return _draw_sample(matrix_sqrt_psd(sigma), n, seed)
-
-
-def _draw_sample(root: np.ndarray, n: int, seed: int) -> SampleDraw:
-    """:func:`sample_covariance` given a precomputed square root of Sigma."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    x = generator(seed).standard_normal((root.shape[0], n))
+    root = matrix_sqrt_psd(sigma)
+    x = generator(seed).standard_normal((sigma.dim, n))
     y = root @ x
     sample = symmetrize(y @ y.T / n)
     return SampleDraw(data=y, sample=CovarianceMatrix(sample, "sample"), n=n, seed=seed)

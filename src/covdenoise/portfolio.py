@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import as_matrix
-from .errors import ParameterError, SingularMatrixError, SolverError
+from .errors import ParameterError, SolverError
+from .spectral import floored_spectrum
 
 BUDGET_TOL = 1e-8
 KKT_TOL = 1e-8
-_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,9 @@ class WeightVector:
         object.__setattr__(self, "weights", weights)
 
 
-def _floored_spectrum(sigma) -> tuple[np.ndarray, np.ndarray]:
-    values = as_matrix(sigma)
-    eigenvalues, vectors = np.linalg.eigh(values)
-    top = eigenvalues[-1]
-    if top <= 0.0:
-        raise SingularMatrixError("sigma has no positive eigenvalues")
-    return np.maximum(eigenvalues, _FLOOR_REL * top), vectors
-
-
 def mvp_weights(sigma) -> WeightVector:
     """Unconstrained minimum-variance weights Sigma^-1 1 / (1' Sigma^-1 1)."""
-    eigenvalues, vectors = _floored_spectrum(sigma)
+    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
     ones = np.ones(vectors.shape[0])
     solved = (vectors / eigenvalues) @ (vectors.T @ ones)
     return WeightVector(solved / solved.sum(), long_only=False)
@@ -60,7 +50,7 @@ def mvp_plus_weights(sigma, max_iterations: int | None = None) -> WeightVector:
     boundary crossing and leave on the most negative multiplier, lowest index
     first, so the pivoting is deterministic and terminates exactly.
     """
-    eigenvalues, vectors = _floored_spectrum(sigma)
+    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
     quad = (vectors * eigenvalues) @ vectors.T  # PD version of sigma used by the solver
     p = quad.shape[0]
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)

@@ -1,15 +1,26 @@
 """Symmetric-matrix machinery: eigendecomposition with fixed conventions,
-PSD projection, correlation scaling, the Stieltjes transform, and spectral
-seriation of correlation matrices."""
+the floored spectrum used to invert near-singular matrices, PSD projection,
+correlation scaling, the Stieltjes transform, and spectral seriation of
+correlation matrices.
+
+For a :class:`~covdenoise.covariance.CovarianceMatrix` every spectral helper
+here reads the matrix's cached ``spectrum`` instead of calling LAPACK again.
+"""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import as_matrix, symmetrize
-from .errors import NumericError, ParameterError
+from .covariance import CovarianceMatrix, as_matrix, symmetrize
+from .errors import NumericError, ParameterError, SingularMatrixError
+
+logger = logging.getLogger(__name__)
+
+# eigenvalues at or below this multiple of the largest count as zero
+EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,22 +48,55 @@ def apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose_sym(m) -> SpectralDecomposition:
-    """Descending-ordered eigendecomposition of a symmetric matrix."""
-    values = as_matrix(m)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {values.shape}")
-    if np.max(np.abs(values - values.T)) > 1e-8 * max(np.max(np.abs(values)), 1.0):
-        raise ParameterError("matrix is not symmetric")
+def ascending_spectrum(m) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``np.linalg.eigh`` (eigenvalues, eigenvectors) of a symmetric
+    matrix; a CovarianceMatrix's cached spectrum is returned as is."""
+    if isinstance(m, CovarianceMatrix):
+        return m.spectrum
     try:
-        eigenvalues, vectors = np.linalg.eigh(symmetrize(values))
+        return np.linalg.eigh(np.asarray(m, dtype=float))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
+
+
+def eigendecompose_sym(m) -> SpectralDecomposition:
+    """Descending-ordered eigendecomposition of a symmetric matrix."""
+    if not isinstance(m, CovarianceMatrix):
+        values = as_matrix(m)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ParameterError(f"expected a square matrix, got shape {values.shape}")
+        if np.max(np.abs(values - values.T)) > 1e-8 * max(np.max(np.abs(values)), 1.0):
+            raise ParameterError("matrix is not symmetric")
+        m = symmetrize(values)
+    eigenvalues, vectors = ascending_spectrum(m)
     order = np.arange(eigenvalues.size - 1, -1, -1)
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(eigenvalues[order]),
         eigenvectors=apply_sign_convention(vectors[:, order]),
     )
+
+
+def floored_spectrum(m, name: str, singular_ok: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectrum with every eigenvalue raised to at least
+    ``EIGENVALUE_FLOOR`` times the largest, so the matrix can be inverted.
+
+    Raises :class:`SingularMatrixError` when no eigenvalue is positive, and
+    when ``singular_ok`` is false and any eigenvalue lies at or below the
+    floor.
+    """
+    eigenvalues, vectors = ascending_spectrum(m)
+    top = eigenvalues[-1]
+    if top <= 0.0:
+        raise SingularMatrixError(f"{name} has no positive eigenvalues")
+    floor = EIGENVALUE_FLOOR * top
+    deficient = int(np.sum(eigenvalues <= floor))
+    if deficient:
+        if not singular_ok:
+            raise SingularMatrixError(
+                f"{name} is singular ({deficient} eigenvalues at or below {floor:.3e})"
+            )
+        logger.debug("floored %d eigenvalues of %s", deficient, name)
+    return np.maximum(eigenvalues, floor), vectors
 
 
 def psd_project(m, floor: float = 0.0) -> np.ndarray:

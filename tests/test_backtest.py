@@ -264,3 +264,48 @@ def test_uniform_needs_no_estimation_history(rng):
         walk_forward(panel, config)
     report = uniform_portfolio(panel, config)
     assert report.rebalance_dates == [panel.dates[0], panel.dates[30], panel.dates[60]]
+
+
+def _count_lapack(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("estimator, eigh, eigvalsh", [("naive", 1, 1), ("2s-lp", 2, 3)])
+def test_each_window_matrix_is_decomposed_once(rng, monkeypatch, estimator, eigh, eigvalsh):
+    # naive: the sample's validation, and one spectrum shared by the
+    # condition number and the allocation; 2s-lp adds the validation of
+    # both stages and the spectrum of the estimate it allocates on
+    panel = iid_panel(rng, 5, 200)
+    config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
+                               t_in=40, t_out=30, delta_t=30)
+    counts = _count_lapack(monkeypatch)
+    report = walk_forward(panel, config)
+    windows = len(report.rebalance_dates)
+    assert counts == {"eigh": eigh * windows, "eigvalsh": eigvalsh * windows}
+
+
+def test_seriation_validates_only_the_unpermuted_estimate(rng, monkeypatch):
+    panel = iid_panel(rng, 4, 160)
+    monkeypatch.setattr(backtest, "make_estimator",
+                        lambda name, n, **kwargs: lambda s: s.retagged("estimator:cnn"))
+    net = DenoiserConfig(input_size=4, num_blocks=1, num_filters=2, kernel=3,
+                         epochs=0, batch_size=4, seed=1)
+    base = dict(split_date=panel.dates[70], t_in=30, t_out=30, delta_t=30,
+                estimator="cnn", denoiser_config=net, train_window_count=2,
+                train_stride=1, pre_history_days=31)
+    validations = {}
+    for seriation in (False, True):
+        counts = _count_lapack(monkeypatch)
+        report = walk_forward(panel, WalkForwardConfig(**base, seriation_per_window=seriation))
+        validations[seriation] = counts["eigvalsh"] / len(report.rebalance_dates)
+    # the seriation pass orders the raw window covariance without validating it
+    assert validations == {False: 1, True: 2}

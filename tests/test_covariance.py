@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import covdenoise.spectral as spectral
-from covdenoise import CovarianceMatrix, DataError, ParameterError, estimate_lp, sample_covariance
+from covdenoise import (
+    CovarianceMatrix,
+    DataError,
+    ParameterError,
+    estimate_lp,
+    mv_loss,
+    mvp_weights,
+    sample_covariance,
+)
 from covdenoise.covariance import window_covariance
 from covdenoise.estimators import estimate_two_step
 from covdenoise.models import build_block_model
@@ -38,22 +46,48 @@ def test_decomposition_matches_eigendecompose_sym(rng):
     assert s.decomposition is s.decomposition
 
 
-def test_sample_is_decomposed_at_most_once(monkeypatch):
+def test_spectrum_is_one_read_only_eigh_shared_with_retagged_copies(rng, monkeypatch):
+    s = CovarianceMatrix(random_psd(rng, 6), "sample")
+    eigenvalues, vectors = np.linalg.eigh(s.values)
     calls = []
-    real = spectral.eigendecompose_sym
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real(m))
+    cached = s.spectrum
+    assert np.array_equal(cached[0], eigenvalues) and np.array_equal(cached[1], vectors)
+    assert not cached[0].flags.writeable and not cached[1].flags.writeable
+    assert s.retagged("estimator:naive").spectrum is cached
+    s.decomposition
+    assert len(calls) == 1
 
-    def counting(m):
-        calls.append(1)
-        return real(m)
 
-    monkeypatch.setattr(spectral, "eigendecompose_sym", counting)
+def test_decomposition_reorders_the_spectrum_like_the_array_path(rng):
+    values = random_psd(rng, 7)
+    cached = CovarianceMatrix(values, "sample").decomposition
+    direct = spectral.eigendecompose_sym(values)
+    assert np.array_equal(cached.eigenvalues, direct.eigenvalues)
+    assert np.array_equal(cached.eigenvectors, direct.eigenvectors)
+
+
+def test_sample_is_decomposed_at_most_once(monkeypatch):
     n = 30
-    s = sample_covariance(build_block_model((4, 4), 0.3), n, 3).sample
+    sigma = build_block_model((4, 4), 0.3)
+    s = sample_covariance(sigma, n, 3).sample
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     tagged = s.retagged("estimator:naive")
     estimate_lp(s, n)
     estimate_two_step(s, n, "lp")
+    mv_loss(tagged, sigma)
+    mvp_weights(tagged)
     tagged.decomposition
-    assert len(calls) == 1
+    # sigma's spectrum was cached while drawing the sample
+    assert len(calls) == 1 and calls[0] is s.values
 
 
 def test_window_covariance_is_the_uncentred_second_moment(rng):

@@ -42,6 +42,37 @@ def test_simulation_builder_eigenvector_targets_signed_permutations():
         assert np.allclose(target.max(axis=0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["covariance", "eigenvectors"])
+def test_simulation_builder_decomposes_sigma_once_per_set(monkeypatch, mode):
+    from covdenoise.denoiser.training import _match_eigenvector_targets
+    from covdenoise.models import sample_covariance
+    from covdenoise.randomness import STREAM_TRAINING, child_seed
+    from covdenoise.spectral import eigendecompose_sym
+
+    model = ModelSpec(kind=ModelKind.POWERLAW, p=6, alpha=1.0, seed=4)
+    n, count, seed = 20, 4, 9
+    # the reference decomposes a freshly built sigma for every sample
+    inputs, targets = [], []
+    for i in range(count):
+        draw = sample_covariance(model.build(), n, child_seed(seed, STREAM_TRAINING, i))
+        if mode == "covariance":
+            inputs.append(draw.sample.values)
+            targets.append(model.build().values)
+        else:
+            vectors = eigendecompose_sym(draw.sample.values).eigenvectors
+            inputs.append(vectors)
+            target_vectors = eigendecompose_sym(model.build().values).eigenvectors
+            targets.append(_match_eigenvector_targets(target_vectors, vectors))
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real(m))
+    data = build_training_set_simulation(model, n, count, seed, mode=mode)
+    # sigma once per set; eigenvector inputs add one spectrum per sample
+    assert len(calls) == 1 + (count if mode == "eigenvectors" else 0)
+    assert np.array_equal(data.inputs, np.stack(inputs))
+    assert np.array_equal(data.targets, np.stack(targets))
+
+
 def test_simulation_builder_large_n_recovers_target():
     model = ModelSpec(kind=ModelKind.BLOCK, p=4, block_sizes=(2, 2), gamma=0.4)
     data = build_training_set_simulation(model, 10**6, 2, seed=3, mode="covariance")

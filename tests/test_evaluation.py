@@ -9,6 +9,7 @@ from covdenoise import (
     ModelSpec,
     ParameterError,
     frobenius_loss,
+    make_estimator,
     mv_loss,
     run_monte_carlo,
     sample_covariance,
@@ -166,26 +167,38 @@ def test_monte_carlo_decomposes_sigma_once_and_each_sample_once(monkeypatch):
     m = 3
     report = run_monte_carlo(spec, 30, m, ["naive", "lp", "alca", "2s-lp"], seed=4, threads=1)
     assert all(row.failures == 0 for row in report.rows.values())
-    # per realization: the sample spectrum (shared by lp and 2s-lp) plus one
-    # inverse per estimate; per run: sigma once
-    assert counts["eigh"] <= 2 + 5 * m
+    # per run: sigma once; per realization: the sample spectrum (shared by
+    # naive's loss, lp and 2s-lp's first stage) plus one per new estimate
+    # (lp, alca, 2s-lp)
+    assert counts["eigh"] <= 1 + 4 * m
     # per realization: validation of the sample, lp, alca and 2s-lp's two
     # stages; retagging re-validates nothing
     assert counts["eigvalsh"] <= 1 + 5 * m
 
 
-def test_population_target_agrees_bitwise_with_public_functions():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_rows_match_a_loop_over_the_public_functions(threads):
     spec = ModelSpec(kind=ModelKind.POWERLAW, p=10, alpha=1.0, seed=3)
+    names = ["naive", "lp", "alca", "2s-lp"]
+    n, m, seed = 8, 4, 5
+    report = run_monte_carlo(spec, n, m, names, seed=seed, threads=threads)
     sigma = spec.build()
-    target = evaluation._PopulationTarget.of(sigma)
-    for seed in range(4):
-        public = sample_covariance(sigma, 8, seed)
-        draw = evaluation._draw_sample(target.root, 8, seed)
-        assert np.array_equal(public.data, draw.data)
-        assert np.array_equal(public.sample.values, draw.sample.values)
-        for name in ("naive", "lp", "alca"):
-            estimate = evaluation.make_estimator(name, 8)(draw.sample)
-            assert mv_loss(estimate, sigma) == target.mv_loss(estimate)
+    losses = {name: ([], []) for name in names}
+    for index in range(m):
+        draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
+        for name in names:
+            estimate = make_estimator(name, n)(draw.sample)
+            losses[name][0].append(frobenius_loss(estimate, sigma))
+            losses[name][1].append(mv_loss(estimate, sigma))
+    for name in names:
+        f_vals, mv_vals = np.array(losses[name][0]), np.array(losses[name][1])
+        se = 1.0 / np.sqrt(m)
+        expected = (
+            float(f_vals.mean()), float(f_vals.std(ddof=1) * se),
+            float(mv_vals.mean()), float(mv_vals.std(ddof=1) * se), 0,
+        )
+        row = report.rows[name]
+        assert (row.mean_f, row.se_f, row.mean_mv, row.se_mv, row.failures) == expected
 
 
 def test_monte_carlo_counts_singular_population_as_failures():

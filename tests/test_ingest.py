@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 
 import numpy as np
@@ -246,3 +247,49 @@ def test_read_exclusions(tmp_path):
     path = tmp_path / "ex.txt"
     path.write_text("# stable coins\nUSDT\n\nEURS\n")
     assert read_exclusions(path) == ["USDT", "EURS"]
+
+
+def _random_axes(rng, n_dates, n_symbols):
+    day = dt.date(1999, 12, 31).toordinal() + np.cumsum(rng.integers(1, 40, size=n_dates))
+    dates = tuple(dt.date.fromordinal(int(d)).isoformat() for d in day)
+    alphabet = list("ABCXYZ019-._")
+    symbols = tuple(
+        f"{''.join(rng.choice(alphabet, size=int(rng.integers(1, 8))))}{i}" for i in range(n_symbols)
+    )
+    return dates, symbols
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_price_roundtrip_is_lossless(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n_dates, n_symbols = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+    dates, symbols = _random_axes(rng, n_dates, n_symbols)
+    # positive prices over the whole double range, subnormals included
+    prices = 10.0 ** rng.uniform(-310.0, 308.0, size=(n_dates, n_symbols))
+    prices[prices == 0.0] = 5e-324
+    prices[rng.random(prices.shape) < 0.2] = np.nan
+    panel = PricePanel(dates=dates, symbols=symbols, prices=prices)
+    write_prices(panel, tmp_path / "p.csv")
+    again = load_prices(tmp_path / "p.csv")
+    assert again.dates == dates and again.symbols == symbols
+    assert np.array_equal(_bits(again.prices), _bits(panel.prices))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_returns_roundtrip_is_lossless(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n_dates, n_symbols = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+    dates, symbols = _random_axes(rng, n_dates, n_symbols)
+    values = rng.standard_normal((n_symbols, n_dates)) * 10.0 ** rng.uniform(
+        -320.0, 300.0, size=(n_symbols, n_dates)
+    )
+    values.flat[rng.integers(0, values.size)] = -0.0
+    panel = ReturnsPanel(dates=dates, symbols=symbols, values=values)
+    write_returns(panel, tmp_path / "r.csv")
+    again = load_returns(tmp_path / "r.csv")
+    assert again.dates == dates and again.symbols == symbols
+    assert np.array_equal(_bits(again.values), _bits(panel.values))

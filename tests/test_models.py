@@ -155,6 +155,7 @@ def test_matrix_sqrt_rejects_indefinite_input():
     bad = CovarianceMatrix.__new__(CovarianceMatrix)
     object.__setattr__(bad, "values", np.array([[1.0, 0.0], [0.0, -0.5]]))
     object.__setattr__(bad, "dim", 2)
+    object.__setattr__(bad, "_cache", {})
     with pytest.raises(NumericError):
         matrix_sqrt_psd(bad)
 

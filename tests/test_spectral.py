@@ -149,3 +149,24 @@ def test_seriation_preserves_spectrum(rng):
     before = np.sort(np.linalg.eigvalsh(corr))
     after = np.sort(np.linalg.eigvalsh(permuted))
     assert np.max(np.abs(before - after)) <= 1e-10
+
+
+def test_lapack_eigensolvers_are_called_only_in_covariance_and_spectral():
+    import ast
+    from pathlib import Path
+
+    import covdenoise
+
+    root = Path(covdenoise.__file__).parent
+    allowed = {root / "covariance.py", root / "spectral.py"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("eigh", "eigvalsh"):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []
