@@ -31,6 +31,7 @@ from .denoiser import (
     save_weights,
     train,
 )
+from .denoiser.network import MODES
 from .errors import DataError, NumericError, ParameterError
 from .estimators import ESTIMATOR_NAMES, network_mode
 from .evaluation import run_monte_carlo
@@ -45,7 +46,7 @@ from .ingest import (
     write_returns,
 )
 from .models import ModelKind, ModelSpec
-from .spectral import cov_to_corr
+from .spectral import cov_to_corr, eigendecompose_sym
 
 DEFAULT_BLOCK_SIZES = "3,3,4,5,6,7,7,9,11,13,15,17"
 
@@ -232,7 +233,7 @@ def simulate(ctx: click.Context, **options) -> None:
 
 def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
     sigma = spec.build()
-    eigenvalues = sigma.decomposition.eigenvalues
+    eigenvalues = eigendecompose_sym(sigma).eigenvalues
     lines = ["rank,eigenvalue"]
     lines += [f"{i + 1},{float(value)!r}" for i, value in enumerate(eigenvalues)]
     atomic_write(out / "scree.csv", "\n".join(lines) + "\n")
@@ -289,7 +290,7 @@ def clean(ctx: click.Context, **options) -> None:
 @click.option("--window-length", type=int, default=182, show_default=True)
 @click.option("--count", type=int, default=100, show_default=True, help="Training samples.")
 @click.option("--stride", type=int, default=1, show_default=True)
-@click.option("--mode", type=click.Choice(["covariance", "eigenvectors"]), default="covariance",
+@click.option("--mode", type=click.Choice(list(MODES)), default="covariance",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--weights-out", type=click.Path(dir_okay=False), default="denoiser.cdnw",

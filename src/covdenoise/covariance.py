@@ -2,9 +2,9 @@
 returns.
 
 A :class:`CovarianceMatrix` is frozen after validation, so its ascending
-spectrum is computed once and cached; the descending decomposition, the
-sampling root, the minimum-variance loss and the portfolio allocation all
-read it.
+spectrum is computed once and cached; the descending decomposition
+(:func:`~covdenoise.spectral.eigendecompose_sym` reorders it), the sampling
+root, the minimum-variance loss and the portfolio allocation all read it.
 """
 
 from __future__ import annotations
@@ -96,16 +96,6 @@ class CovarianceMatrix:
             vectors.flags.writeable = False
             self._cache["spectrum"] = (eigenvalues, vectors)
         return self._cache["spectrum"]
-
-    @property
-    def decomposition(self):
-        """The :func:`~covdenoise.spectral.eigendecompose_sym` result, computed
-        once from :attr:`spectrum`."""
-        if "decomposition" not in self._cache:
-            from .spectral import eigendecompose_sym
-
-            self._cache["decomposition"] = eigendecompose_sym(self)
-        return self._cache["decomposition"]
 
     def retagged(self, provenance: str) -> "CovarianceMatrix":
         """The same validated, frozen values and spectrum cache under a new

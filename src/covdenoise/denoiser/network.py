@@ -19,7 +19,7 @@ from ..covariance import symmetrize
 from ..errors import NumericError, ParameterError
 from ..randomness import STREAM_INIT, generator
 from ..spectral import psd_project
-from .ops import conv2d_backward, conv2d_same, relu
+from .ops import _parameter_gradients, conv2d_backward, conv2d_same, relu
 
 MODES = ("covariance", "eigenvectors")
 
@@ -80,16 +80,14 @@ class DenoiserWeights:
         out += [self.head_kernel, self.head_bias]
         return out
 
-    def set_tensors(self, tensors: list[np.ndarray]) -> None:
-        expected = len(self.tensors())
-        if len(tensors) != expected:
-            raise ParameterError(f"expected {expected} tensors, got {len(tensors)}")
-        it = iter(tensors)
-        self.stem_kernel, self.stem_bias = next(it), next(it)
-        for block in self.blocks:
-            block.conv1_kernel, block.conv1_bias = next(it), next(it)
-            block.conv2_kernel, block.conv2_bias = next(it), next(it)
-        self.head_kernel, self.head_bias = next(it), next(it)
+    @classmethod
+    def _from_tensors(
+        cls, config: DenoiserConfig, tensors: list[np.ndarray], normalizer: float = 1.0
+    ) -> "DenoiserWeights":
+        """Assemble weights from tensors in :func:`tensor_shapes` order."""
+        stem_kernel, stem_bias, *inner, head_kernel, head_bias = tensors
+        blocks = [ResidualBlockWeights(*inner[i:i + 4]) for i in range(0, len(inner), 4)]
+        return cls(config, stem_kernel, stem_bias, blocks, head_kernel, head_bias, normalizer)
 
 
 def tensor_shapes(config: DenoiserConfig) -> list[tuple[int, ...]]:
@@ -103,36 +101,18 @@ def tensor_shapes(config: DenoiserConfig) -> list[tuple[int, ...]]:
 
 
 def init_weights(config: DenoiserConfig) -> DenoiserWeights:
-    """He-style Gaussian kernels (std sqrt(2/fan_in)), zero biases, seeded."""
+    """He-style Gaussian kernels (std sqrt(2/fan_in)), zero biases, seeded;
+    kernels are drawn in :func:`tensor_shapes` order."""
     rng = generator(config.seed, STREAM_INIT)
     k = config.kernel
 
     def draw(shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape)
         fan_in = shape[1] * k * k
         return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
-    blocks = []
-    stem_kernel = draw((config.num_filters, 1, k, k))
-    stem_bias = np.zeros(config.num_filters)
-    for _ in range(config.num_blocks):
-        blocks.append(
-            ResidualBlockWeights(
-                conv1_kernel=draw((config.num_filters, config.num_filters, k, k)),
-                conv1_bias=np.zeros(config.num_filters),
-                conv2_kernel=draw((config.num_filters, config.num_filters, k, k)),
-                conv2_bias=np.zeros(config.num_filters),
-            )
-        )
-    head_kernel = draw((1, config.num_filters, k, k))
-    head_bias = np.zeros(1)
-    return DenoiserWeights(
-        config=config,
-        stem_kernel=stem_kernel,
-        stem_bias=stem_bias,
-        blocks=blocks,
-        head_kernel=head_kernel,
-        head_bias=head_bias,
-    )
+    return DenoiserWeights._from_tensors(config, [draw(shape) for shape in tensor_shapes(config)])
 
 
 def forward_batch(weights: DenoiserWeights, x: np.ndarray, keep_cache: bool = False):
@@ -163,8 +143,8 @@ def backward_batch(
 ) -> list[np.ndarray]:
     """Parameter gradients in declaration order for a cached forward pass."""
     x, activations, hidden = cache
-    grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     grad, gk_head, gb_head = conv2d_backward(grad_out, activations[-1], weights.head_kernel)
+    grads = [gk_head, gb_head]
     for index in range(len(weights.blocks) - 1, -1, -1):
         block = weights.blocks[index]
         block_in = activations[index]
@@ -173,15 +153,13 @@ def backward_batch(
         grad_h1, gk2, gb2 = conv2d_backward(grad, hidden[index], block.conv2_kernel)
         grad_h1 = grad_h1 * (hidden[index] > 0.0)
         grad_in, gk1, gb1 = conv2d_backward(grad_h1, block_in, block.conv1_kernel)
-        grads[index] = (gk1, gb1, gk2, gb2)
+        grads[:0] = (gk1, gb1, gk2, gb2)
         grad = grad_in + grad  # skip connection
     grad = grad * (activations[0] > 0.0)
-    _, gk_stem, gb_stem = conv2d_backward(grad, x, weights.stem_kernel)
-    flat: list[np.ndarray] = [gk_stem, gb_stem]
-    for index in range(len(weights.blocks)):
-        flat.extend(grads[index])
-    flat += [gk_head, gb_head]
-    return flat
+    # the stem's input gradient would only reach the data, so it is not formed
+    _, gk_stem, gb_stem = _parameter_gradients(grad, x, weights.stem_kernel)
+    grads[:0] = (gk_stem, gb_stem)
+    return grads
 
 
 def loss_and_gradients(

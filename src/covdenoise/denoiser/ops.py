@@ -15,7 +15,8 @@ nothing but activations is cached between passes, and pads the upstream
 gradient onto a grid of the same geometry.  The kernel gradient is k*k GEMMs
 of that gradient against the input's tap slices.  The input gradient is the
 forward convolution of the padded gradient with the kernel rotated 180 degrees
-and its channel axes swapped, which is exact for odd k with symmetric padding.
+and its channel axes swapped, which is exact for odd k with symmetric padding;
+a layer whose input is the data (the network stem) skips it.
 """
 
 from __future__ import annotations
@@ -94,21 +95,15 @@ def conv2d_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarr
     return np.add(valid, bias[:, None, None], out=np.empty((batch, out_ch, height, width)))
 
 
-def conv2d_backward(
+def _parameter_gradients(
     grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_input, d_kernel, d_bias) of conv2d_same at (x, kernel)."""
-    grad_out = np.asarray(grad_out, dtype=float)
-    x = np.asarray(x, dtype=float)
-    kernel = np.asarray(kernel, dtype=float)
-    _check_conv_shapes(x, kernel)
+    """(padded upstream grid, d_kernel, d_bias) of conv2d_same at (x, kernel).
+
+    Shapes are not checked here; :func:`conv2d_backward` checks them.
+    """
     out_ch, in_ch, k, _ = kernel.shape
     batch, _, height, width = x.shape
-    if grad_out.shape != (batch, out_ch, height, width):
-        raise ParameterError(
-            f"grad_out shape {grad_out.shape} does not match the output shape "
-            f"{(batch, out_ch, height, width)} of input {x.shape} and kernel {kernel.shape}"
-        )
     pad = k // 2
     wp = width + 2 * pad
     size = batch * (height + 2 * pad) * wp
@@ -123,8 +118,26 @@ def conv2d_backward(
         for dj in range(k):
             offset = di * wp + dj
             np.matmul(upstream, x_grid[:, offset:offset + size].T, out=grad_kernel[di, dj])
-    del x_grid
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    return grad_grid, np.ascontiguousarray(grad_kernel.transpose(2, 3, 0, 1)), grad_bias
+
+
+def conv2d_backward(
+    grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (d_input, d_kernel, d_bias) of conv2d_same at (x, kernel)."""
+    grad_out = np.asarray(grad_out, dtype=float)
+    x = np.asarray(x, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    _check_conv_shapes(x, kernel)
+    out_ch = kernel.shape[0]
+    batch, _, height, width = x.shape
+    if grad_out.shape != (batch, out_ch, height, width):
+        raise ParameterError(
+            f"grad_out shape {grad_out.shape} does not match the output shape "
+            f"{(batch, out_ch, height, width)} of input {x.shape} and kernel {kernel.shape}"
+        )
+    grad_grid, grad_kernel, grad_bias = _parameter_gradients(grad_out, x, kernel)
     rotated = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     grad_x = np.ascontiguousarray(_correlate(grad_grid, rotated, batch, height, width))
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, np.ascontiguousarray(grad_kernel.transpose(2, 3, 0, 1)), grad_bias
+    return grad_x, grad_kernel, grad_bias

@@ -1,59 +1,39 @@
 """Binary persistence of trained weights.
 
 Layout: 8-byte magic ``CDNWGT01``; a little-endian uint32 byte length followed
-by a UTF-8 ``key=value`` metadata block (every configuration field plus the
-scalar normalizer); the parameter tensors in declaration order as little-endian
-float32; and a trailing little-endian uint32 CRC-32 of everything before it.
+by a UTF-8 ``key=value`` metadata block (every configuration field in
+declaration order, then the scalar normalizer; each value is parsed back with
+its field's type); the parameter tensors in :func:`tensor_shapes` order as
+little-endian float32; and a trailing little-endian uint32 CRC-32 of
+everything before it.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from ..atomic import atomic_write
-from ..errors import ChecksumError, WeightsFormatError
-from .network import DenoiserConfig, DenoiserWeights, ResidualBlockWeights, tensor_shapes
+from ..errors import ChecksumError, ParameterError, WeightsFormatError
+from .network import DenoiserConfig, DenoiserWeights, tensor_shapes
 
 MAGIC = b"CDNWGT01"
 
-_METADATA_KEYS = (
-    "input_size",
-    "num_blocks",
-    "num_filters",
-    "kernel",
-    "learning_rate",
-    "batch_size",
-    "epochs",
-    "validation_fraction",
-    "seed",
-    "mode",
-    "normalizer",
-)
+# every configuration field in declaration order, then the normalizer
+_METADATA_TYPES = {**get_type_hints(DenoiserConfig), "normalizer": float}
 
 
 def _metadata_block(weights: DenoiserWeights) -> bytes:
-    config = weights.config
-    values = {
-        "input_size": config.input_size,
-        "num_blocks": config.num_blocks,
-        "num_filters": config.num_filters,
-        "kernel": config.kernel,
-        "learning_rate": repr(config.learning_rate),
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "validation_fraction": repr(config.validation_fraction),
-        "seed": config.seed,
-        "mode": config.mode,
-        "normalizer": repr(float(weights.normalizer)),
-    }
-    return "".join(f"{key}={values[key]}\n" for key in _METADATA_KEYS).encode("utf-8")
+    entries = {**asdict(weights.config), "normalizer": float(weights.normalizer)}
+    return "".join(f"{key}={value}\n" for key, value in entries.items()).encode("utf-8")
 
 
-def _parse_metadata(block: bytes) -> dict[str, str]:
+def _parse_metadata(block: bytes) -> dict:
     entries: dict[str, str] = {}
     for line in block.decode("utf-8").splitlines():
         if not line:
@@ -62,13 +42,22 @@ def _parse_metadata(block: bytes) -> dict[str, str]:
         if not sep:
             raise WeightsFormatError(f"malformed metadata line {line!r}")
         entries[key] = value
-    missing = set(_METADATA_KEYS) - set(entries)
+    missing = set(_METADATA_TYPES) - set(entries)
     if missing:
         raise WeightsFormatError(f"metadata missing keys {sorted(missing)}")
-    unknown = set(entries) - set(_METADATA_KEYS)
+    unknown = set(entries) - set(_METADATA_TYPES)
     if unknown:
         raise WeightsFormatError(f"metadata has unknown keys {sorted(unknown)}")
-    return entries
+    parsed = {}
+    for key, value in entries.items():
+        kind = _METADATA_TYPES[key]
+        try:
+            parsed[key] = kind(value)
+        except ValueError:
+            raise WeightsFormatError(
+                f"metadata value {key}={value!r} is not a valid {kind.__name__}"
+            ) from None
+    return parsed
 
 
 def save_weights(weights: DenoiserWeights, path) -> None:
@@ -107,18 +96,11 @@ def load_weights(path) -> DenoiserWeights:
         raise WeightsFormatError("metadata block overruns the file")
     entries = _parse_metadata(raw[offset:offset + meta_len])
     offset += meta_len
-    config = DenoiserConfig(
-        input_size=int(entries["input_size"]),
-        num_blocks=int(entries["num_blocks"]),
-        num_filters=int(entries["num_filters"]),
-        kernel=int(entries["kernel"]),
-        learning_rate=float(entries["learning_rate"]),
-        batch_size=int(entries["batch_size"]),
-        epochs=int(entries["epochs"]),
-        validation_fraction=float(entries["validation_fraction"]),
-        seed=int(entries["seed"]),
-        mode=entries["mode"],
-    )
+    normalizer = entries.pop("normalizer")
+    try:
+        config = DenoiserConfig(**entries)
+    except ParameterError as exc:
+        raise WeightsFormatError(f"metadata describes an invalid configuration: {exc}") from None
     tensors: list[np.ndarray] = []
     for shape in tensor_shapes(config):
         count = int(np.prod(shape))
@@ -130,21 +112,4 @@ def load_weights(path) -> DenoiserWeights:
         offset = end
     if offset != len(raw) - 4:
         raise WeightsFormatError("trailing bytes after the declared tensors")
-    blocks = [
-        ResidualBlockWeights(
-            conv1_kernel=tensors[2 + 4 * i],
-            conv1_bias=tensors[3 + 4 * i],
-            conv2_kernel=tensors[4 + 4 * i],
-            conv2_bias=tensors[5 + 4 * i],
-        )
-        for i in range(config.num_blocks)
-    ]
-    return DenoiserWeights(
-        config=config,
-        stem_kernel=tensors[0],
-        stem_bias=tensors[1],
-        blocks=blocks,
-        head_kernel=tensors[-2],
-        head_bias=tensors[-1],
-        normalizer=float(entries["normalizer"]),
-    )
+    return DenoiserWeights._from_tensors(config, tensors, normalizer)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..covariance import window_covariance
+from ..covariance import as_matrix, window_covariance
 from ..errors import NumericError, ParameterError
 from ..models import ModelSpec, sample_covariance
 from ..randomness import STREAM_SHUFFLE, STREAM_TRAINING, child_seed, generator
@@ -75,35 +75,37 @@ def _match_eigenvector_targets(target_vectors: np.ndarray, input_vectors: np.nda
     return apply_sign_convention(matched)
 
 
+def _training_pair(noisy, clean, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(input, target) for a noisy matrix and its clean counterpart: the
+    matrices themselves in covariance mode; in eigenvector mode the noisy
+    eigenvectors and the clean ones matched onto them."""
+    if mode == "covariance":
+        return as_matrix(noisy), as_matrix(clean)
+    if mode != "eigenvectors":
+        raise ParameterError(f"unknown training mode {mode!r}")
+    vectors = eigendecompose_sym(noisy).eigenvectors
+    return vectors, _match_eigenvector_targets(eigendecompose_sym(clean).eigenvectors, vectors)
+
+
+def _stacked(pairs) -> TrainingSet:
+    inputs, targets = zip(*pairs)
+    return TrainingSet(inputs=np.stack(inputs), targets=np.stack(targets))
+
+
 def build_training_set_simulation(
     model: ModelSpec, n: int, count: int, seed: int, mode: str = "covariance"
 ) -> TrainingSet:
     """Sample-covariance inputs (independent sub-seeds) against the population
-    target; in eigenvector mode both sides are decomposed and aligned."""
+    target; in eigenvector mode both sides are decomposed and aligned.  The
+    population's spectrum is computed once and reused for every pair."""
     if count < 2:
         raise ParameterError("training set needs count >= 2")
     sigma = model.build()
-    if mode == "covariance":
-        target = sigma.values
-        inputs = np.stack(
-            [
-                sample_covariance(sigma, n, child_seed(seed, STREAM_TRAINING, i)).sample.values
-                for i in range(count)
-            ]
-        )
-        targets = np.broadcast_to(target, inputs.shape).copy()
-        return TrainingSet(inputs=inputs, targets=targets)
-    if mode != "eigenvectors":
-        raise ParameterError(f"unknown training mode {mode!r}")
-    target_vectors = eigendecompose_sym(sigma).eigenvectors
-    inputs = []
-    targets = []
-    for i in range(count):
-        draw = sample_covariance(sigma, n, child_seed(seed, STREAM_TRAINING, i))
-        vectors = eigendecompose_sym(draw.sample).eigenvectors
-        inputs.append(vectors)
-        targets.append(_match_eigenvector_targets(target_vectors, vectors))
-    return TrainingSet(inputs=np.stack(inputs), targets=np.stack(targets))
+    samples = (
+        sample_covariance(sigma, n, child_seed(seed, STREAM_TRAINING, i)).sample
+        for i in range(count)
+    )
+    return _stacked(_training_pair(sample, sigma, mode) for sample in samples)
 
 
 def build_training_set_rolling(
@@ -128,23 +130,14 @@ def build_training_set_rolling(
             f"panel has {length} return days but {needed} are required "
             f"({count} windows of {window_length} days at stride {stride})"
         )
-    inputs = []
-    targets = []
-    for j in range(count):
-        start = length - 2 * window_length - (count - 1 - j) * stride
-        left = window_covariance(matrix[:, start:start + window_length])
-        right = window_covariance(matrix[:, start + window_length:start + 2 * window_length])
-        if mode == "covariance":
-            inputs.append(left)
-            targets.append(right)
-        elif mode == "eigenvectors":
-            in_vectors = eigendecompose_sym(left).eigenvectors
-            t_vectors = eigendecompose_sym(right).eigenvectors
-            inputs.append(in_vectors)
-            targets.append(_match_eigenvector_targets(t_vectors, in_vectors))
-        else:
-            raise ParameterError(f"unknown training mode {mode!r}")
-    return TrainingSet(inputs=np.stack(inputs), targets=np.stack(targets))
+    return _stacked(
+        _training_pair(
+            window_covariance(matrix[:, start:start + window_length]),
+            window_covariance(matrix[:, start + window_length:start + 2 * window_length]),
+            mode,
+        )
+        for start in range(length - needed, length - needed + count * stride, stride)
+    )
 
 
 def _normalizer(config: DenoiserConfig, inputs: np.ndarray) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .covariance import CovarianceMatrix, symmetrize
 from .errors import DataError, ParameterError
 from .hierarchy import cophenetic_matrix, linkage
-from .spectral import corr_to_cov, cov_to_corr
+from .spectral import corr_to_cov, cov_to_corr, eigendecompose_sym
 
 
 def shrink_eigenvalues(eigenvalues: np.ndarray, n: int) -> np.ndarray:
@@ -73,7 +73,7 @@ def estimate_naive(s: CovarianceMatrix) -> CovarianceMatrix:
 
 def estimate_lp(s: CovarianceMatrix, n: int) -> CovarianceMatrix:
     """Nonlinear shrinkage of the sample spectrum; sample eigenvectors kept."""
-    dec = s.decomposition
+    dec = eigendecompose_sym(s)
     shrunk = shrink_eigenvalues(dec.eigenvalues[::-1], n)[::-1]
     values = symmetrize((dec.eigenvectors * shrunk) @ dec.eigenvectors.T)
     return CovarianceMatrix(values, "estimator:lp")
@@ -128,7 +128,7 @@ def estimate_hybrid(s: CovarianceMatrix, n: int, weights) -> CovarianceMatrix:
     """Denoised eigenvectors recombined with the shrunk sample spectrum."""
     from .denoiser import forward
 
-    dec = s.decomposition
+    dec = eigendecompose_sym(s)
     shrunk = shrink_eigenvalues(dec.eigenvalues[::-1], n)[::-1]
     denoised = forward(weights, dec.eigenvectors)
     return assemble_hybrid(denoised, shrunk)

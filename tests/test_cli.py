@@ -318,6 +318,14 @@ def test_help_advertises_documented_defaults(runner):
         assert token in train_help
 
 
+def test_train_mode_choices_are_the_network_modes(runner):
+    train_help = runner.invoke(cli, ["train", "--help"]).output
+    assert "[covariance|eigenvectors]" in train_help
+    result = runner.invoke(cli, ["train", "--mode", "magic"])
+    assert result.exit_code == 2
+    assert "'magic' is not one of 'covariance', 'eigenvectors'" in result.output
+
+
 def test_simulate_with_trained_estimator(runner, tmp_path):
     result = runner.invoke(
         cli,

@@ -11,8 +11,8 @@ from covdenoise import (
     mvp_weights,
     sample_covariance,
 )
-from covdenoise.covariance import window_covariance
-from covdenoise.estimators import estimate_two_step
+from covdenoise.covariance import symmetrize, window_covariance
+from covdenoise.estimators import estimate_two_step, shrink_eigenvalues
 from covdenoise.models import build_block_model
 from conftest import random_psd
 
@@ -38,12 +38,15 @@ def test_retagged_checks_only_the_tag(rng, monkeypatch):
     assert s.retagged("estimator:x").provenance == "estimator:x"
 
 
-def test_decomposition_matches_eigendecompose_sym(rng):
+def test_estimate_lp_matches_the_descending_decomposition_formula(rng):
+    n = 12
     s = CovarianceMatrix(random_psd(rng, 7), "sample")
-    direct = spectral.eigendecompose_sym(s)
-    assert np.array_equal(s.decomposition.eigenvalues, direct.eigenvalues)
-    assert np.array_equal(s.decomposition.eigenvectors, direct.eigenvectors)
-    assert s.decomposition is s.decomposition
+    dec = spectral.eigendecompose_sym(s.values)
+    shrunk = shrink_eigenvalues(dec.eigenvalues[::-1], n)[::-1]
+    expected = symmetrize((dec.eigenvectors * shrunk) @ dec.eigenvectors.T)
+    assert np.array_equal(estimate_lp(s, n).values, expected)
+    # the sample keeps one decomposition: its ascending spectrum
+    assert list(s._cache) == ["spectrum"]
 
 
 def test_spectrum_is_one_read_only_eigh_shared_with_retagged_copies(rng, monkeypatch):
@@ -56,13 +59,13 @@ def test_spectrum_is_one_read_only_eigh_shared_with_retagged_copies(rng, monkeyp
     assert np.array_equal(cached[0], eigenvalues) and np.array_equal(cached[1], vectors)
     assert not cached[0].flags.writeable and not cached[1].flags.writeable
     assert s.retagged("estimator:naive").spectrum is cached
-    s.decomposition
+    spectral.eigendecompose_sym(s)
     assert len(calls) == 1
 
 
 def test_decomposition_reorders_the_spectrum_like_the_array_path(rng):
     values = random_psd(rng, 7)
-    cached = CovarianceMatrix(values, "sample").decomposition
+    cached = spectral.eigendecompose_sym(CovarianceMatrix(values, "sample"))
     direct = spectral.eigendecompose_sym(values)
     assert np.array_equal(cached.eigenvalues, direct.eigenvalues)
     assert np.array_equal(cached.eigenvectors, direct.eigenvectors)
@@ -85,7 +88,7 @@ def test_sample_is_decomposed_at_most_once(monkeypatch):
     estimate_two_step(s, n, "lp")
     mv_loss(tagged, sigma)
     mvp_weights(tagged)
-    tagged.decomposition
+    spectral.eigendecompose_sym(tagged)
     # sigma's spectrum was cached while drawing the sample
     assert len(calls) == 1 and calls[0] is s.values
 

@@ -7,8 +7,10 @@ from covdenoise.denoiser import (
     forward,
     forward_batch,
     init_weights,
+    loss_and_gradients,
     relu,
 )
+from covdenoise.denoiser import ops
 from covdenoise.errors import NumericError, ParameterError
 
 
@@ -109,3 +111,16 @@ def test_full_scale_default_profile_forward(rng):
     out = forward(weights, rng.standard_normal((100, 100)))
     assert out.shape == (100, 100)
     assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize("num_blocks", [1, 3])
+def test_training_step_skips_the_stem_input_gradient(rng, monkeypatch, num_blocks):
+    # forward: stem, two per block, head; backward: the input gradient of the
+    # head and of both block convolutions, but not of the stem
+    calls = []
+    real = ops._correlate
+    monkeypatch.setattr(ops, "_correlate", lambda *args: calls.append(args) or real(*args))
+    weights = init_weights(tiny_config(num_blocks=num_blocks))
+    x = rng.standard_normal((2, 1, 4, 4))
+    loss_and_gradients(weights, x, rng.standard_normal(x.shape))
+    assert len(calls) == 4 * num_blocks + 3

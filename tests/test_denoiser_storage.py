@@ -1,3 +1,7 @@
+import hashlib
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,9 @@ from covdenoise.denoiser import (
     init_weights,
     load_weights,
     save_weights,
+    tensor_shapes,
 )
+from covdenoise.denoiser.storage import MAGIC
 from covdenoise.errors import ChecksumError, WeightsFormatError
 
 
@@ -33,12 +39,69 @@ def test_roundtrip_preserves_tensors_and_config(tmp_path):
 
 
 def test_second_save_is_byte_identical(tmp_path):
-    weights = make_weights()
     first = tmp_path / "a.cdnw"
     second = tmp_path / "b.cdnw"
-    save_weights(weights, first)
-    save_weights(load_weights(first), second)
-    assert first.read_bytes() == second.read_bytes()
+    cases = [make_weights()] + [
+        init_weights(DenoiserConfig(input_size=4, num_blocks=blocks, num_filters=2, kernel=k))
+        for blocks in (1, 2, 3)
+        for k in (1, 3, 5)
+    ]
+    for weights in cases:
+        save_weights(weights, first)
+        loaded = load_weights(first)
+        assert [t.shape for t in loaded.tensors()] == tensor_shapes(weights.config)
+        save_weights(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            DenoiserConfig(input_size=12, num_blocks=3, kernel=5, mode="eigenvectors"),
+            "cf9221c5d9b209758a5857c8f90252c7518bbbd55a6fe29f3da625b760f65396",
+        ),
+        (
+            DenoiserConfig(input_size=12),
+            "0190426c946b7276095084eaa77d6a78b2e614b82176c946e320c7337be287fc",
+        ),
+    ],
+)
+def test_initial_weights_file_is_golden(tmp_path, config, digest):
+    # pins the initial draw order and every byte of the file format
+    path = tmp_path / "weights.cdnw"
+    save_weights(init_weights(config), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def rewrite_metadata(path, edit):
+    """Apply ``edit`` to the metadata text and re-frame the file with a valid
+    length and checksum, so only the metadata check can reject it."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", raw, len(MAGIC))
+    meta = edit(raw[start:start + length].decode("utf-8")).encode("utf-8")
+    body = MAGIC + struct.pack("<I", len(meta)) + meta + raw[start + length:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("input_size=5", "input_size=x"), "input_size='x'"),
+        (lambda text: text.replace("learning_rate=0.002", "learning_rate=fast"), "learning_rate"),
+        (lambda text: text.replace("epochs=7\n", ""), "missing keys \\['epochs'\\]"),
+        (lambda text: text + "dropout=0.5\n", "unknown keys \\['dropout'\\]"),
+        (lambda text: text.replace("kernel=3", "kernel=4"), "kernel size must be odd, got 4"),
+    ],
+    ids=["int-value", "float-value", "missing-key", "unknown-key", "invalid-config"],
+)
+def test_bad_metadata_raises_format_error_naming_the_key(tmp_path, edit, message):
+    path = tmp_path / "weights.cdnw"
+    save_weights(make_weights(), path)
+    rewrite_metadata(path, edit)
+    with pytest.raises(WeightsFormatError, match=message):
+        load_weights(path)
 
 
 def test_truncated_file_fails_checksum(tmp_path):

@@ -102,6 +102,35 @@ def test_rolling_builder_full_history_profile(rng):
     assert data.count == 100
 
 
+@pytest.mark.parametrize("builder", ["simulation", "rolling"])
+def test_builders_reject_an_unknown_mode_alike(rng, builder):
+    with pytest.raises(ParameterError, match="unknown training mode 'magic'"):
+        if builder == "simulation":
+            model = ModelSpec(kind=ModelKind.BLOCK, p=4, block_sizes=(2, 2), gamma=0.3)
+            build_training_set_simulation(model, 20, 2, seed=1, mode="magic")
+        else:
+            values = rng.standard_normal((3, 40)) * 0.01
+            build_training_set_rolling(_panel(values), window_length=10, count=2, mode="magic")
+
+
+def test_rolling_builder_eigenvector_pairs(rng):
+    from covdenoise.denoiser.training import _match_eigenvector_targets
+    from covdenoise.spectral import eigendecompose_sym
+
+    values = rng.standard_normal((4, 60)) * 0.01
+    data = build_training_set_rolling(
+        _panel(values), window_length=20, count=3, stride=5, mode="eigenvectors"
+    )
+    for j, start in enumerate((10, 15, 20)):
+        left = values[:, start:start + 20]
+        right = values[:, start + 20:start + 40]
+        vectors = eigendecompose_sym(left @ left.T / 20).eigenvectors
+        right_vectors = eigendecompose_sym(right @ right.T / 20).eigenvectors
+        target = _match_eigenvector_targets(right_vectors, vectors)
+        assert np.allclose(data.inputs[j], vectors, rtol=0.0, atol=1e-12)
+        assert np.allclose(data.targets[j], target, rtol=0.0, atol=1e-12)
+
+
 def test_rolling_builder_rejects_short_history(rng):
     values = rng.standard_normal((2, 120)) * 0.02
     with pytest.raises(ParameterError, match="121"):
