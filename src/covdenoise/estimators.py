@@ -9,7 +9,9 @@ heterogeneous spectra and in the singular p > n regime.
 
 One private table maps every estimator name to the mode of the network it
 needs (``"covariance"``, ``"eigenvectors"`` or none) and to its estimate
-function; each ``2s-<first>`` entry is derived from its first stage.
+function; each ``2s-<first>`` entry is derived from its first stage, whose
+estimate is kept in the sample's cache so that the two-step estimator on a
+sample reuses the first-stage estimate already made from it.
 :func:`network_mode` is the one place a name is validated, and
 :func:`make_estimator` checks that the weights it binds were trained in that
 mode.  Entries reach the estimate functions through their module-global
@@ -139,6 +141,24 @@ class _Entry(NamedTuple):
     estimate: Callable[[CovarianceMatrix, int, Any], CovarianceMatrix]  # (s, n, weights)
 
 
+def _kept(name: str, stage: _Entry) -> _Entry:
+    """The stage, keeping its estimate in the sample's cache under (name, n)
+    beside the weights object, so that the same sample, n and weights (by
+    identity) reuse it: ``lp`` and ``2s-lp`` of one realization estimate
+    ``lp`` once.  Weights changed in place after use are not noticed."""
+
+    def estimate(s: CovarianceMatrix, n: int, weights) -> CovarianceMatrix:
+        key = ("estimate", name, n)
+        kept = s._cache.get(key)
+        if kept is not None and kept[0] is weights:
+            return kept[1]
+        result = stage.estimate(s, n, weights)
+        s._cache[key] = (weights, result)
+        return result
+
+    return _Entry(stage.mode, estimate)
+
+
 def _two_step(first: str, stage: _Entry) -> _Entry:
     """The first stage followed by the hierarchical filter."""
     provenance = f"estimator:2s-{first}"
@@ -154,9 +174,9 @@ _ESTIMATORS = {
     "hybrid": _Entry("eigenvectors", lambda s, n, w: estimate_hybrid(s, n, w)),
     "alca": _Entry(None, lambda s, n, w: estimate_alca(s)),
 }
-_ESTIMATORS.update(
-    {f"2s-{first}": _two_step(first, _ESTIMATORS[first]) for first in ("lp", "cnn", "hybrid")}
-)
+for first in ("lp", "cnn", "hybrid"):
+    _ESTIMATORS[first] = _kept(first, _ESTIMATORS[first])
+    _ESTIMATORS[f"2s-{first}"] = _two_step(first, _ESTIMATORS[first])
 
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 

@@ -5,6 +5,15 @@ Cluster labels follow the usual convention: leaves are 0..p-1 and the merge
 created at step t gets label p+t.  Ties between candidate merges are broken
 by the lexicographically smallest pair of cluster labels, so dendrograms are
 fully deterministic.
+
+:func:`linkage` works in place on one symmetric p×p matrix of slots.  Slot s
+starts as leaf s; a merge leaves the new cluster in the slot of its member
+with the smaller label and retires the other slot.  Retired slots and the
+diagonal hold ``+inf``, so each step is one ``argmin`` over the whole matrix
+and the Lance–Williams row of the new cluster is written to its row and its
+column.  Slot order is not label order, so when the minimum occurs at more
+than one pair the tied pairs are compared by their labels; merges, ties
+included, are the same as those of a matrix indexed by label.
 """
 
 from __future__ import annotations
@@ -27,48 +36,63 @@ class Merge:
 
 
 def linkage(distance: np.ndarray, method: str = "average") -> list[Merge]:
-    """Sequence of p-1 merges of the given symmetric distance matrix."""
+    """Sequence of p-1 merges of the given symmetric distance matrix.
+
+    The matrix is symmetrized as ``(d + d.T) / 2``; its entries must be
+    finite.
+    """
     if method not in _METHODS:
         raise ParameterError(f"unknown linkage method {method!r}")
     d = np.asarray(distance, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ParameterError("distance matrix must be square")
     p = d.shape[0]
-    total = 2 * p - 1
-    # working pairwise distances over all labels ever created; inactive = +inf
-    work = np.full((total, total), np.inf)
-    work[:p, :p] = 0.5 * (d + d.T)
-    work[np.tril_indices(total)] = np.inf
-    sizes = np.zeros(total, dtype=int)
-    sizes[:p] = 1
-    active = np.zeros(total, dtype=bool)
-    active[:p] = True
+    if p == 0:
+        raise ParameterError("distance matrix is empty")
+    if not np.all(np.isfinite(d)):
+        raise ParameterError("distance matrix contains non-finite entries")
+    work = d + d.T
+    work *= 0.5
+    np.fill_diagonal(work, np.inf)
+    flat_work = work.ravel()
+    equal = np.empty(p * p, dtype=bool)
+    labels = np.arange(p)
+    sizes = [1] * p
     merges: list[Merge] = []
     for step in range(p - 1):
-        flat = np.argmin(work[:p + step, :p + step])
-        i, j = divmod(int(flat), p + step)
-        height = work[i, j]
-        new = p + step
-        active[i] = active[j] = False
-        row = np.full(total, np.inf)
-        candidates = np.flatnonzero(active[:new])
-        if method == "average":
-            merged = (sizes[i] * np.minimum(work[i, candidates], work[candidates, i])
-                      + sizes[j] * np.minimum(work[j, candidates], work[candidates, j]))
-            row[candidates] = merged / (sizes[i] + sizes[j])
+        # the first minimum in row-major order lies above the diagonal, so
+        # its mirror is the one other entry equal to it unless pairs tie
+        flat = int(flat_work.argmin())
+        height = flat_work[flat]
+        if not np.isfinite(height):
+            raise ParameterError("distances too large: the linkage update overflowed")
+        tail = flat_work[flat + 1:]
+        if np.count_nonzero(np.equal(tail, height, out=equal[:tail.size])) > 1:
+            rows, cols = np.nonzero(work == height)
+            lo, hi = labels[rows], labels[cols]
+            best = np.argmin(np.where(lo < hi, lo * (2 * p) + hi, 4 * p * p))
+            a, b = int(rows[best]), int(cols[best])
+            height = work[a, b]  # tied +0.0 and -0.0 compare equal
         else:
-            row[candidates] = np.minimum(
-                np.minimum(work[i, candidates], work[candidates, i]),
-                np.minimum(work[j, candidates], work[candidates, j]),
-            )
-        work[i, :] = np.inf
-        work[:, i] = np.inf
-        work[j, :] = np.inf
-        work[:, j] = np.inf
-        work[:new, new] = row[:new]
-        sizes[new] = sizes[i] + sizes[j]
-        active[new] = True
-        merges.append(Merge(left=i, right=j, height=float(height), size=int(sizes[new])))
+            a, b = divmod(flat, p)
+        if labels[a] > labels[b]:
+            # a holds the smaller label: the merge's left, the slot kept, and
+            # the first operand of the update, as in a label-indexed matrix
+            a, b = b, a
+        size_a, size_b = sizes[a], sizes[b]
+        if method == "average":
+            row = (size_a * work[a] + size_b * work[b]) / (size_a + size_b)
+        else:
+            row = np.minimum(work[a], work[b])
+        row[a] = row[b] = np.inf  # the new cluster's diagonal, the retired slot
+        work[a] = row
+        work[:, a] = row
+        work[b] = np.inf
+        work[:, b] = np.inf
+        merges.append(Merge(left=int(labels[a]), right=int(labels[b]),
+                            height=float(height), size=size_a + size_b))
+        labels[a] = p + step
+        sizes[a] = size_a + size_b
     return merges
 
 

@@ -58,9 +58,28 @@ def nets():
     return out
 
 
+def fresh_sample():
+    """A new sample object with an empty cache (same values each call)."""
+    return sample_covariance(MODEL.build(), N, 4).sample
+
+
 @pytest.fixture(scope="module")
 def sample():
-    return sample_covariance(MODEL.build(), N, 4).sample
+    return fresh_sample()
+
+
+def counting(monkeypatch, names):
+    """Record every call of the named module-level estimate functions."""
+    calls = []
+    for fn in names:
+        real = getattr(estimators, fn)
+
+        def counted(*args, _real=real, _fn=fn, **kwargs):
+            calls.append(_fn)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, fn, counted)
+    return calls
 
 
 def test_network_mode_of_every_estimator():
@@ -119,19 +138,54 @@ def test_classical_estimators_are_permutation_equivariant(name, rng):
     assert np.max(np.abs(permuted - direct[np.ix_(perm, perm)])) <= 1e-12 * scale
 
 
-def test_table_reaches_estimate_functions_at_call_time(monkeypatch, nets, sample):
+def test_table_reaches_estimate_functions_at_call_time(monkeypatch, nets):
     # a wrapper installed on the module after import must see every call, or
-    # the benchmark's estimators.* spans read zero
-    calls = []
-    for fn in ("estimate_lp", "estimate_alca", "estimate_cnn", "estimate_hybrid"):
-        real = getattr(estimators, fn)
-
-        def counted(*args, _real=real, _fn=fn, **kwargs):
-            calls.append(_fn)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(estimators, fn, counted)
+    # the benchmark's estimators.* spans read zero; a fresh sample per name,
+    # so that no first-stage estimate kept by an earlier name hides a call
+    calls = counting(monkeypatch, ("estimate_lp", "estimate_alca", "estimate_cnn",
+                                   "estimate_hybrid"))
     for name in ESTIMATOR_NAMES:
         calls.clear()
-        make_estimator(name, N, weights=nets.get(network_mode(name)))(sample)
+        make_estimator(name, N, weights=nets.get(network_mode(name)))(fresh_sample())
         assert sorted(calls) == REACHED[name], name
+
+
+@pytest.mark.parametrize("first", ["lp", "cnn", "hybrid"])
+def test_two_step_reuses_the_first_stage_estimate_of_its_sample(monkeypatch, nets, first):
+    weights = nets.get(network_mode(first))
+    calls = counting(monkeypatch, (f"estimate_{first}",))
+    s = fresh_sample()
+    stage = make_estimator(first, N, weights=weights)(s)
+    two_step = make_estimator(f"2s-{first}", N, weights=weights)(s)
+    assert calls == [f"estimate_{first}"]
+    assert np.array_equal(two_step.values, estimators.estimate_alca(stage).values)
+    assert two_step.provenance == f"estimator:2s-{first}"
+    # in the other order too: the first stage returns the estimate 2s kept
+    s = fresh_sample()
+    make_estimator(f"2s-{first}", N, weights=weights)(s)
+    assert make_estimator(first, N, weights=weights)(s).provenance == f"estimator:{first}"
+    assert len(calls) == 2
+
+
+def test_first_stage_estimate_is_not_reused_for_another_n(monkeypatch):
+    calls = counting(monkeypatch, ("estimate_lp",))
+    s = fresh_sample()
+    make_estimator("lp", N)(s)
+    two_step = make_estimator("2s-lp", N + 10)(s)
+    assert calls == ["estimate_lp", "estimate_lp"]
+    expected = estimators.estimate_alca(estimators.estimate_lp(fresh_sample(), N + 10))
+    assert np.array_equal(two_step.values, expected.values)
+
+
+def test_first_stage_estimate_is_not_reused_for_other_weights(monkeypatch, nets):
+    config = DenoiserConfig(input_size=MODEL.p, num_blocks=1, num_filters=2, kernel=3,
+                            batch_size=4, epochs=1, seed=7, mode="covariance")
+    other, _ = train(config, build_training_set_simulation(MODEL, N, 6, 7, mode="covariance"))
+    calls = counting(monkeypatch, ("estimate_cnn",))
+    s = fresh_sample()
+    first = make_estimator("2s-cnn", N, weights=nets["covariance"])(s)
+    two_step = make_estimator("2s-cnn", N, weights=other)(s)
+    assert calls == ["estimate_cnn", "estimate_cnn"]
+    assert not np.array_equal(first.values, two_step.values)
+    expected = estimators.estimate_alca(estimators.estimate_cnn(fresh_sample(), other))
+    assert np.array_equal(two_step.values, expected.values)

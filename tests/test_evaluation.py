@@ -171,9 +171,9 @@ def test_monte_carlo_decomposes_sigma_once_and_each_sample_once(monkeypatch):
     # naive's loss, lp and 2s-lp's first stage) plus one per new estimate
     # (lp, alca, 2s-lp)
     assert counts["eigh"] <= 1 + 4 * m
-    # per realization: validation of the sample, lp, alca and 2s-lp's two
-    # stages; retagging re-validates nothing
-    assert counts["eigvalsh"] <= 1 + 5 * m
+    # per realization: validation of the sample, lp, alca and 2s-lp's
+    # filter; 2s-lp reuses the lp estimate and retagging re-validates nothing
+    assert counts["eigvalsh"] <= 1 + 4 * m
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from covdenoise import ModelKind, ModelSpec, sample_covariance
 from covdenoise.errors import ParameterError
-from covdenoise.hierarchy import cophenetic_matrix, linkage
+from covdenoise.hierarchy import Merge, cophenetic_matrix, linkage
+from covdenoise.spectral import cov_to_corr
 
 
 def cluster_members(merges, p):
@@ -159,3 +162,119 @@ def test_cophenetic_of_partial_dendrogram_matches_reference():
         assert np.array_equal(
             cophenetic_matrix(merges[:k], p), reference_cophenetic_matrix(merges[:k], p)
         )
+
+
+def reference_linkage(distance, method="average"):
+    """The earlier implementation over a (2p-1)x(2p-1) matrix indexed by
+    label, kept as an equivalence oracle."""
+    d = np.asarray(distance, dtype=float)
+    p = d.shape[0]
+    total = 2 * p - 1
+    work = np.full((total, total), np.inf)
+    work[:p, :p] = 0.5 * (d + d.T)
+    work[np.tril_indices(total)] = np.inf
+    sizes = np.zeros(total, dtype=int)
+    sizes[:p] = 1
+    active = np.zeros(total, dtype=bool)
+    active[:p] = True
+    merges = []
+    for step in range(p - 1):
+        flat = np.argmin(work[:p + step, :p + step])
+        i, j = divmod(int(flat), p + step)
+        height = work[i, j]
+        new = p + step
+        active[i] = active[j] = False
+        row = np.full(total, np.inf)
+        candidates = np.flatnonzero(active[:new])
+        if method == "average":
+            merged = (sizes[i] * np.minimum(work[i, candidates], work[candidates, i])
+                      + sizes[j] * np.minimum(work[j, candidates], work[candidates, j]))
+            row[candidates] = merged / (sizes[i] + sizes[j])
+        else:
+            row[candidates] = np.minimum(
+                np.minimum(work[i, candidates], work[candidates, i]),
+                np.minimum(work[j, candidates], work[candidates, j]),
+            )
+        work[i, :] = np.inf
+        work[:, i] = np.inf
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        work[:new, new] = row[:new]
+        sizes[new] = sizes[i] + sizes[j]
+        active[new] = True
+        merges.append(Merge(left=i, right=j, height=float(height), size=int(sizes[new])))
+    return merges
+
+
+def assert_same_merges(distance, method):
+    got = linkage(distance, method)
+    want = reference_linkage(distance, method)
+    assert got == want
+    # == treats -0.0 and 0.0 as equal; the heights must match bit for bit
+    assert np.array([m.height for m in got]).tobytes() == np.array(
+        [m.height for m in want]).tobytes()
+
+
+@pytest.mark.parametrize("method", ["average", "single"])
+def test_linkage_matches_reference_on_random_distances(method):
+    rng = np.random.default_rng(11)
+    for p in range(1, 151):
+        raw = rng.uniform(0.0, 2.0, size=(p, p))  # asymmetric: linkage symmetrizes
+        assert_same_merges(raw, method)
+
+
+@pytest.mark.parametrize("method", ["average", "single"])
+def test_linkage_matches_reference_on_tied_integer_distances(method):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        p = int(rng.integers(2, 26))
+        assert_same_merges(rng.integers(0, 4, size=(p, p)).astype(float), method)
+
+
+@pytest.mark.parametrize("method", ["average", "single"])
+def test_linkage_matches_reference_on_all_equal_distances(method):
+    for p in (2, 3, 7, 40):
+        assert_same_merges(np.full((p, p), 0.5), method)
+
+
+@pytest.mark.parametrize("method", ["average", "single"])
+def test_linkage_matches_reference_on_power_law_correlation(method):
+    spec = ModelSpec(kind=ModelKind.POWERLAW, p=200, alpha=1.5, seed=3)
+    corr, _ = cov_to_corr(sample_covariance(spec.build(), 100, 5).sample)
+    distance = 1.0 - np.clip(corr, -1.0, 1.0)
+    np.fill_diagonal(distance, 0.0)
+    assert_same_merges(distance, method)
+
+
+def test_linkage_peak_memory_is_a_small_multiple_of_the_input():
+    rng = np.random.default_rng(13)
+    distance = correlation_distance(rng, 300)
+    tracemalloc.start()
+    try:
+        linkage(distance, "average")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * distance.nbytes, peak / distance.nbytes
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 0)), "empty"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), "non-finite"),
+    (np.array([[0.0, np.inf], [np.inf, 0.0]]), "non-finite"),
+    (np.array([[0.0, 1.0, 2.0], [1.0, 0.0, -np.inf], [2.0, 3.0, 0.0]]), "non-finite"),
+])
+@pytest.mark.parametrize("method", ["average", "single"])
+def test_linkage_rejects_malformed_distances(bad, message, method):
+    with pytest.raises(ParameterError, match=message):
+        linkage(bad, method)
+
+
+def test_linkage_rejects_distances_whose_update_overflows():
+    # finite input; merging {0, 1} with 2 weights 8.5e307 by sizes 2 + 1
+    distance = np.full((4, 4), 8.5e307)
+    distance[0, 1] = distance[1, 0] = 1.0
+    distance[:2, 2] = distance[2, :2] = 8e307
+    np.fill_diagonal(distance, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflowed"):
+        linkage(distance, "average")
