@@ -9,6 +9,7 @@ estimate, so the engine is free of look-ahead by construction.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -19,7 +20,7 @@ from .atomic import atomic_write
 from .covariance import CovarianceMatrix, window_covariance
 from .errors import CovDenoiseError, ParameterError
 from .estimators import make_estimator, network_mode
-from .ingest import ReturnsPanel
+from .ingest import ReturnsPanel, write_dated_table
 from .portfolio import PerformanceMetrics, WeightVector, mvp_plus_weights, portfolio_metrics
 from .spectral import cov_to_corr, invert_permutation, spectral_seriation
 
@@ -258,26 +259,22 @@ def uniform_portfolio(panel: ReturnsPanel, config: WalkForwardConfig) -> Backtes
 
 
 def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:
-    """Emit metrics JSON, weights CSV, daily-returns CSV and wealth CSV."""
+    """Emit metrics JSON, weights CSV, daily-returns CSV, wealth CSV and the
+    per-window diagnostics JSON."""
     out = Path(out_dir)
     paths = {
         "metrics": out / "metrics.json",
         "weights": out / "weights.csv",
         "returns": out / "daily_returns.csv",
         "wealth": out / "wealth.csv",
+        "diagnostics": out / "diagnostics.json",
     }
     atomic_write(paths["metrics"], report.metrics.to_json_text())
-    lines = ["date," + ",".join(report.symbols)]
-    for date, allocation in zip(report.rebalance_dates, report.weight_history):
-        lines.append(date + "," + ",".join(repr(float(v)) for v in allocation.weights))
-    atomic_write(paths["weights"], "\n".join(lines) + "\n")
-    lines = ["date,portfolio_return"]
-    for date, value in zip(report.daily_dates, report.daily_returns):
-        lines.append(f"{date},{float(value)!r}")
-    atomic_write(paths["returns"], "\n".join(lines) + "\n")
-    wealth = np.cumprod(1.0 + report.daily_returns)
-    lines = ["date,wealth"]
-    for date, value in zip(report.daily_dates, wealth):
-        lines.append(f"{date},{float(value)!r}")
-    atomic_write(paths["wealth"], "\n".join(lines) + "\n")
+    weights = [allocation.weights.tolist() for allocation in report.weight_history]
+    write_dated_table(paths["weights"], report.symbols, report.rebalance_dates, weights)
+    daily = report.daily_returns[:, None]
+    write_dated_table(paths["returns"], ("portfolio_return",), report.daily_dates, daily.tolist())
+    wealth = np.cumprod(1.0 + report.daily_returns)[:, None]
+    write_dated_table(paths["wealth"], ("wealth",), report.daily_dates, wealth.tolist())
+    atomic_write(paths["diagnostics"], json.dumps(report.diagnostics, indent=2) + "\n")
     return paths

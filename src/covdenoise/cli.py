@@ -9,8 +9,7 @@ flags always win over the file, which wins over built-in defaults.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
-from datetime import date
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import click
@@ -35,15 +34,17 @@ from .denoiser.network import MODES
 from .errors import DataError, NumericError, ParameterError
 from .estimators import ESTIMATOR_NAMES, network_mode
 from .evaluation import run_monte_carlo
-from .hierarchy import linkage
+from .hierarchy import Merge, linkage
 from .ingest import (
     clean_panel_report,
+    is_iso_date,
     load_prices,
     load_returns,
     log_returns,
     read_exclusions,
     write_prices,
     write_returns,
+    write_table,
 )
 from .models import ModelKind, ModelSpec
 from .spectral import cov_to_corr, eigendecompose_sym
@@ -98,16 +99,8 @@ def _apply_config(ctx: click.Context, options: dict) -> dict:
 
 
 def _split_date(value: str) -> str:
-    """The value itself when it is a real date written as YYYY-MM-DD.
-
-    Panel dates are compared as strings, so any other spelling would split on
-    the wrong day instead of failing.
-    """
-    try:
-        canonical = date.fromisoformat(value).isoformat()
-    except ValueError:
-        canonical = None
-    if canonical != value:
+    """The value itself when it is a real date written as YYYY-MM-DD."""
+    if not is_iso_date(value):
         raise click.UsageError(f"--split-date {value!r} is not a valid YYYY-MM-DD date")
     return value
 
@@ -233,17 +226,14 @@ def simulate(ctx: click.Context, **options) -> None:
 
 def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
     sigma = spec.build()
-    eigenvalues = eigendecompose_sym(sigma).eigenvalues
-    lines = ["rank,eigenvalue"]
-    lines += [f"{i + 1},{float(value)!r}" for i, value in enumerate(eigenvalues)]
-    atomic_write(out / "scree.csv", "\n".join(lines) + "\n")
+    eigenvalues = eigendecompose_sym(sigma).eigenvalues.tolist()
+    write_table(out / "scree.csv", ("rank", "eigenvalue"), enumerate(eigenvalues, start=1))
     corr, _ = cov_to_corr(sigma)
     distance = 1.0 - corr
     np.fill_diagonal(distance, 0.0)
     merges = linkage(distance, "single")
-    lines = ["left,right,height,size"]
-    lines += [f"{m.left},{m.right},{m.height!r},{m.size}" for m in merges]
-    atomic_write(out / "dendrogram.csv", "\n".join(lines) + "\n")
+    header = [column.name for column in fields(Merge)]
+    write_table(out / "dendrogram.csv", header, map(astuple, merges))
 
 
 @cli.command()
@@ -325,11 +315,13 @@ def train_command(ctx: click.Context, **options) -> None:
     config = replace(_denoiser_config(options, input_size), mode=options["mode"])
     weights, history = train(config, data)
     save_weights(weights, options["weights_out"])
-    lines = ["epoch,train_mse,validation_mse"]
-    for epoch, value in enumerate(history.train_mse):
-        val = history.validation_mse[epoch] if epoch < len(history.validation_mse) else ""
-        lines.append(f"{epoch},{value!r},{val!r}" if val != "" else f"{epoch},{value!r},")
-    atomic_write(options["loss_curve_out"], "\n".join(lines) + "\n")
+    # without a validation split the third column is empty
+    validation = history.validation_mse or [""] * len(history.train_mse)
+    write_table(
+        options["loss_curve_out"],
+        ("epoch", "train_mse", "validation_mse"),
+        zip(range(len(history.train_mse)), history.train_mse, validation, strict=True),
+    )
     final = history.train_mse[-1] if history.train_mse else float("nan")
     click.echo(f"saved weights to {options['weights_out']} (final training MSE {final:.6g})")
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .covariance import as_matrix
 from .errors import CovDenoiseError, ParameterError
 from .estimators import make_estimator, network_mode
+from .ingest import table_text
 from .models import ModelSpec, sample_covariance
 from .randomness import STREAM_REALIZATION, child_seed
 from .spectral import floored_spectrum
@@ -81,13 +82,8 @@ class MonteCarloReport:
     rows: dict[str, EstimatorRow]
 
     def to_csv_text(self) -> str:
-        lines = ["estimator,mean_f,se_f,mean_mv,se_mv,failures"]
-        for name in self.estimators:
-            row = self.rows[name]
-            lines.append(
-                f"{name},{row.mean_f!r},{row.se_f!r},{row.mean_mv!r},{row.se_mv!r},{row.failures}"
-            )
-        return "\n".join(lines) + "\n"
+        header = ("estimator", *(column.name for column in fields(EstimatorRow)))
+        return table_text(header, ((name, *astuple(self.rows[name])) for name in self.estimators))
 
     def to_json_text(self) -> str:
         payload = {
@@ -97,16 +93,7 @@ class MonteCarloReport:
             "m": self.m,
             "seed": self.seed,
             "estimators": list(self.estimators),
-            "rows": {
-                name: {
-                    "mean_f": row.mean_f,
-                    "se_f": row.se_f,
-                    "mean_mv": row.mean_mv,
-                    "se_mv": row.se_mv,
-                    "failures": row.failures,
-                }
-                for name, row in self.rows.items()
-            },
+            "rows": {name: asdict(row) for name, row in self.rows.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -1,8 +1,9 @@
-"""Price CSV loading, the cleaning pipeline, and log-return panels.
+"""Price CSV loading, the cleaning pipeline, log-return panels, and the one
+CSV codec every table of the package is written and read with.
 
-CSV shape: first column headed ``date`` with ISO-8601 dates, one column per
-asset symbol.  Empty cells mark missing prices; literal "NaN" text is
-rejected rather than silently coerced.
+Panel CSV shape: first column headed ``date`` with ``YYYY-MM-DD`` dates, one
+column per asset symbol.  Empty cells mark missing prices; literal "NaN" text
+is rejected rather than silently coerced.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ def _check_axes(dates: tuple[str, ...], symbols: tuple[str, ...]) -> None:
     """Dates strictly increase and no symbol repeats; names the first offender."""
     for previous, date in zip(dates, dates[1:]):
         if date <= previous:
-            raise DataError(f"dates must be strictly increasing: {date!r} follows {previous!r}")
+            problem = "duplicate date" if date == previous else "dates must be strictly increasing"
+            raise DataError(f"{problem}: {date!r} follows {previous!r}")
     seen: set[str] = set()
     for symbol in symbols:
         if symbol in seen:
@@ -73,70 +75,118 @@ class ReturnsPanel:
         return len(self.dates)
 
 
-def _parse_date(token: str, row: int) -> str:
+def is_iso_date(token: str) -> bool:
+    """True for a real calendar date spelled ``YYYY-MM-DD``.
+
+    Dates are compared as strings, which orders them by day only in this one
+    spelling, so every other form ``date.fromisoformat`` accepts is refused.
+    """
     try:
-        _dt.date.fromisoformat(token)
+        return _dt.date.fromisoformat(token).isoformat() == token
     except ValueError:
-        raise DataError(f"row {row}: malformed date {token!r}") from None
-    return token
+        return False
+
+
+def format_row(cells) -> str:
+    return ",".join(map(str, cells))
+
+
+def table_text(header, rows) -> str:
+    """The package's CSV format: a header row, then one line per row, every
+    line ending in "\n" and every cell written with ``str``.  A Python float's
+    ``str`` is its ``repr``, which reads back bit for bit; pass Python values
+    (``ndarray.tolist()``), since under NumPy 2 a NumPy scalar's repr is
+    ``np.float64(...)``."""
+    lines = [format_row(header)]
+    lines.extend(map(format_row, rows))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def write_table(path, header, rows) -> None:
+    atomic_write(path, table_text(header, rows))
+
+
+def write_dated_table(path, names, dates, rows) -> None:
+    """A ``date`` column and one column per name; ``rows`` holds one sequence
+    of values per date."""
+    dated_rows = ((date, *row) for date, row in zip(dates, rows, strict=True))
+    write_table(path, ("date", *names), dated_rows)
+
+
+def _read_dated_table(path, parse_row) -> tuple[tuple[str, ...], tuple[str, ...], list]:
+    """The column names after ``date``, the dates, and ``parse_row(cells,
+    row_number)`` of every data row; blank lines are skipped and rows are
+    numbered from 1 at the header."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = [token.strip() for token in lines[0].split(",")]
+    if header[0] != "date":
+        raise DataError(f"{path}: first column must be headed 'date', got {header[:1]!r}")
+    names = tuple(header[1:])
+    if not names or not all(names):
+        raise DataError(f"{path}: header must name at least one nonempty symbol")
+    dates: list[str] = []
+    rows = []
+    for row_number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise DataError(f"row {row_number}: expected {len(header)} cells, got {len(cells)}")
+        date = cells[0].strip()
+        if not is_iso_date(date):
+            raise DataError(f"row {row_number}: malformed date {date!r}")
+        dates.append(date)
+        rows.append(parse_row(cells[1:], row_number))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return names, tuple(dates), rows
+
+
+def _is_price(cell: str) -> bool:
+    try:
+        return not cell.strip() or 0.0 < float(cell) < math.inf
+    except ValueError:
+        return False
+
+
+def _price_row(cells: list[str], row: int) -> list[float | None]:
+    """Empty cells are missing (None, NaN in an array); anything else must be
+    a finite positive number."""
+    try:
+        values = [float(cell) if cell.strip() else None for cell in cells]
+        if all(value is None or 0.0 < value < math.inf for value in values):
+            return values
+    except ValueError:
+        pass
+    column = next(i for i, cell in enumerate(cells) if not _is_price(cell))
+    raise DataError(
+        f"row {row}, column {column + 2}: bad price {cells[column].strip()!r} "
+        "(a price is a finite positive number; an empty cell marks it missing)"
+    )
+
+
+def _return_row(cells: list[str], row: int) -> list[float]:
+    try:
+        return list(map(float, cells))
+    except ValueError as exc:
+        raise DataError(f"row {row}: bad return value ({exc})") from None
 
 
 def load_prices(path) -> PricePanel:
     """Parse a price CSV; empty cells are missing, anything else must be a
     positive decimal price."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if not header or header[0].strip() != "date":
-        raise DataError(f"{path}: first column must be headed 'date', got {header[:1]!r}")
-    symbols = [token.strip() for token in header[1:]]
-    if not symbols or any(not s for s in symbols):
-        raise DataError(f"{path}: header must name at least one nonempty symbol")
-    dates: list[str] = []
-    rows: list[list[float]] = []
-    seen_dates: set[str] = set()
-    for row_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(symbols) + 1:
-            raise DataError(
-                f"row {row_number}: expected {len(symbols) + 1} cells, got {len(cells)}"
-            )
-        date = _parse_date(cells[0].strip(), row_number)
-        if date in seen_dates:
-            raise DataError(f"row {row_number}: duplicate date {date}")
-        seen_dates.add(date)
-        values = []
-        for column, cell in enumerate(cells[1:], start=2):
-            text = cell.strip()
-            if text == "":
-                values.append(math.nan)
-                continue
-            try:
-                price = float(text)
-            except ValueError:
-                raise DataError(f"row {row_number}, column {column}: bad price {text!r}") from None
-            if math.isnan(price) or math.isinf(price):
-                raise DataError(f"row {row_number}, column {column}: bad price {text!r}")
-            if price <= 0.0:
-                raise DataError(f"row {row_number}, column {column}: non-positive price {text!r}")
-            values.append(price)
-        dates.append(date)
-        rows.append(values)
-    return PricePanel(dates=tuple(dates), symbols=tuple(symbols), prices=np.array(rows))
-
-
-def _format_price(value: float) -> str:
-    return "" if math.isnan(value) else repr(float(value))
+    symbols, dates, rows = _read_dated_table(path, _price_row)
+    return PricePanel(dates=dates, symbols=symbols, prices=np.array(rows, dtype=float))
 
 
 def write_prices(panel: PricePanel, path) -> None:
-    lines = ["date," + ",".join(panel.symbols)]
-    for i, date in enumerate(panel.dates):
-        lines.append(date + "," + ",".join(_format_price(v) for v in panel.prices[i]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Missing prices are written as empty cells."""
+    cells = panel.prices.astype(object)
+    cells[np.isnan(panel.prices)] = ""
+    write_dated_table(path, panel.symbols, panel.dates, cells.tolist())
 
 
 def _forward_fill(column: np.ndarray) -> np.ndarray | None:
@@ -243,35 +293,13 @@ def log_returns(panel: PricePanel) -> ReturnsPanel:
 
 
 def write_returns(panel: ReturnsPanel, path) -> None:
-    lines = ["date," + ",".join(panel.symbols)]
-    for i, date in enumerate(panel.dates):
-        lines.append(date + "," + ",".join(repr(float(v)) for v in panel.values[:, i]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_dated_table(path, panel.symbols, panel.dates, panel.values.T.tolist())
 
 
 def load_returns(path) -> ReturnsPanel:
     """Read a returns CSV written by :func:`write_returns` (same shape as prices)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[0].strip() != "date":
-        raise DataError(f"{path}: first column must be headed 'date'")
-    symbols = tuple(token.strip() for token in header[1:])
-    dates: list[str] = []
-    rows: list[list[float]] = []
-    for row_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(symbols) + 1:
-            raise DataError(f"row {row_number}: expected {len(symbols) + 1} cells")
-        dates.append(_parse_date(cells[0].strip(), row_number))
-        try:
-            rows.append([float(cell) for cell in cells[1:]])
-        except ValueError as exc:
-            raise DataError(f"row {row_number}: bad return value ({exc})") from None
-    return ReturnsPanel(dates=tuple(dates), symbols=symbols, values=np.array(rows).T)
+    symbols, dates, rows = _read_dated_table(path, _return_row)
+    return ReturnsPanel(dates=dates, symbols=symbols, values=np.array(rows).T)
 
 
 def read_exclusions(path) -> list[str]:

@@ -4,11 +4,12 @@ performance metrics."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParameterError, SolverError
+from .ingest import format_row
 from .spectral import floored_spectrum
 
 BUDGET_TOL = 1e-8
@@ -111,30 +112,19 @@ class PerformanceMetrics:
     zero_volatility: bool = False
 
     def to_json_text(self) -> str:
-        payload = {
-            "cumulative_return": self.cumulative_return,
-            "annual_return": self.annual_return,
-            "annual_volatility": self.annual_volatility,
-            "sharpe": self.sharpe,
-            "max_drawdown": self.max_drawdown,
-            "turnover": self.turnover,
-        }
+        payload = {name: getattr(self, name) for name in _REPORTED_METRICS}
         if self.zero_volatility:
             payload["zero_volatility"] = True
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.cumulative_return,
-                self.annual_return,
-                self.annual_volatility,
-                self.sharpe,
-                self.max_drawdown,
-                self.turnover,
-            )
-        )
+        return format_row(getattr(self, name) for name in _REPORTED_METRICS)
+
+
+# both serializations' columns; the JSON adds the zero_volatility flag when set
+_REPORTED_METRICS = tuple(
+    column.name for column in fields(PerformanceMetrics) if column.name != "zero_volatility"
+)
 
 
 def portfolio_metrics(

@@ -1,12 +1,17 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covdenoise
 from covdenoise import atomic
 from covdenoise.atomic import atomic_write
+from covdenoise.backtest import BacktestReport, write_report_files
 from covdenoise.denoiser import DenoiserConfig, init_weights, save_weights
 from covdenoise.ingest import PricePanel, ReturnsPanel, write_prices, write_returns
+from covdenoise.portfolio import WeightVector, portfolio_metrics
 
 
 def _failing_replace(monkeypatch):
@@ -74,9 +79,28 @@ def _weights():
     return init_weights(DenoiserConfig(input_size=3, num_blocks=1, num_filters=2))
 
 
+def _report():
+    weights = WeightVector(np.array([0.5, 0.5]))
+    metrics = portfolio_metrics(np.array([0.01, -0.02]), [weights.weights])
+    return BacktestReport(
+        ["2024-01-01"], [weights], ["2024-01-01", "2024-01-02"], np.array([0.01, -0.02]),
+        metrics, ("A", "B"),
+    )
+
+
+def _write_report_files(report, target):
+    # the report's files go next to the target; the first one to be replaced fails
+    return write_report_files(report, target.parent)
+
+
 @pytest.mark.parametrize(
     "write,make",
-    [(write_prices, _price_panel), (write_returns, _returns_panel), (save_weights, _weights)],
+    [
+        (write_prices, _price_panel),
+        (write_returns, _returns_panel),
+        (save_weights, _weights),
+        pytest.param(_write_report_files, _report, id="write_report_files-_report"),
+    ],
 )
 def test_writers_go_through_the_atomic_helper(tmp_path, monkeypatch, write, make):
     target = tmp_path / "file"
@@ -86,3 +110,22 @@ def test_writers_go_through_the_atomic_helper(tmp_path, monkeypatch, write, make
         write(make(), target)
     assert target.read_text() == "previous"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+_FILE_WRITE = re.compile(r"\bopen\(|\bfdopen\(|\.write_text\(|\.write_bytes\(")
+
+
+def test_only_the_atomic_module_opens_files():
+    # every output file goes through atomic_write, so no other module of the
+    # package opens or writes a file itself
+    package = Path(covdenoise.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert _FILE_WRITE.search((package / "atomic.py").read_text())
+    offenders = [
+        f"{path.relative_to(package)}:{number}: {line.strip()}"
+        for path in modules
+        if path != package / "atomic.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if _FILE_WRITE.search(line)
+    ]
+    assert len(modules) > 10 and offenders == []

@@ -1,8 +1,12 @@
 import datetime as dt
+import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
+import covdenoise.atomic as atomic
 import covdenoise.backtest as backtest
 from covdenoise import (
     ParameterError,
@@ -214,6 +218,63 @@ def test_report_files_roundtrip(tmp_path, rng):
     assert len(weights_lines) == 1 + len(report.rebalance_dates)
     returns_lines = paths["returns"].read_text().strip().splitlines()
     assert len(returns_lines) == 1 + report.daily_returns.size
+
+
+def _strategy_reports(rng):
+    panel = iid_panel(rng, 3, 140)
+    config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=30, delta_t=30)
+    return {
+        "walk_forward": walk_forward(panel, config),
+        "uniform_portfolio": uniform_portfolio(panel, config),
+        "buy_and_hold": buy_and_hold(panel, "A1", config),
+    }
+
+
+@pytest.mark.parametrize("strategy", ["walk_forward", "uniform_portfolio", "buy_and_hold"])
+def test_report_files_include_the_diagnostics(tmp_path, rng, strategy):
+    report = _strategy_reports(rng)[strategy]
+    paths = write_report_files(report, tmp_path / "out")
+    assert paths["diagnostics"] == tmp_path / "out" / "diagnostics.json"
+    assert json.loads(paths["diagnostics"].read_text()) == report.diagnostics
+    assert report.diagnostics
+
+
+def test_every_report_file_is_replaced_atomically(tmp_path, rng, monkeypatch):
+    report = _strategy_reports(rng)["walk_forward"]
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        replaced.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(atomic.os, "replace", replace)
+    paths = write_report_files(report, tmp_path / "out")
+    assert sorted(map(str, replaced)) == sorted(map(str, paths.values()))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        p.name for p in paths.values()
+    )
+
+
+# sha256 of the report files of this backtest before the CSV writers shared
+# one codec; the diagnostics file came later and is not pinned
+GOLDEN_REPORT_FILES = {
+    "metrics.json": "308fef88f2fdd7523ce860486367298dd338fc2bc6e714c9b963f6444496e64c",
+    "weights.csv": "2b89d7408ac4548ee4d5d6410c58014a9adc4873111281372117ff047842d855",
+    "daily_returns.csv": "4264882eea771f5a775052c20db9ddb6ccae060529823fb0c2f9380f19180c41",
+    "wealth.csv": "5e1b60744ae81379be3a66cafb29aad932f2a143fc22b458fea1696d51772e3d",
+}
+
+
+def test_report_files_keep_their_bytes(tmp_path):
+    panel = iid_panel(np.random.default_rng(7), 3, 140)
+    config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=20, delta_t=20)
+    write_report_files(walk_forward(panel, config), tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_REPORT_FILES
+    }
+    assert digests == GOLDEN_REPORT_FILES
 
 
 def test_two_step_hybrid_walk_forward_runs(rng):

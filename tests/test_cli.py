@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import json
 
 import numpy as np
@@ -347,3 +348,51 @@ def test_simulate_threads_do_not_change_results(runner, tmp_path):
     assert runner.invoke(cli, base + ["--out-dir", str(serial)]).exit_code == 0
     assert runner.invoke(cli, base + ["--threads", "2", "--out-dir", str(threaded)]).exit_code == 0
     assert (serial / "report.csv").read_bytes() == (threaded / "report.csv").read_bytes()
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+# sha256 of each file before the CSV writers shared one codec.  With p=60 and
+# n=200 every alca and 2s-lp realization fails, so their rows are all nan.
+GOLDEN_SIMULATE_FILES = {
+    "report.csv": "cd6963360eaf9f921a810ed03c14852a4c5cd475bde5aaffc0535f9dcdfe96c6",
+    "report.json": "804b2d39296043225a08c34603101b3f8e6e03e814352d5ba3c2c90bc7d29bb5",
+    "scree.csv": "d766928bb29032a57a82e43c20138490e7121dbf1570f83c27dabc6d068e6e32",
+    "dendrogram.csv": "fa624b028adc37c5837bf80aac3b221367d25c434a79f5c52ca051d03cb615b8",
+}
+
+
+def test_simulate_files_keep_their_bytes(runner, tmp_path):
+    result = runner.invoke(
+        cli,
+        ["simulate", "--model", "powerlaw", "--p", "60", "--n", "200", "--m", "3",
+         "--estimators", "naive,lp,alca,2s-lp", "--seed", "5", "--diagnostics",
+         "--out-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    assert "alca,nan,nan,nan,nan,3\n" in (tmp_path / "report.csv").read_text()
+    assert _digests(tmp_path, GOLDEN_SIMULATE_FILES) == GOLDEN_SIMULATE_FILES
+
+
+GOLDEN_LOSS_CURVES = {
+    "0.2": "d671f580f4c8b565fb6d622f4bf7fa14c428c56118fa1404a06bca57498178f9",
+    "0": "fea9a16b6605871fbe7c06c14b2dcec4ee962b3b1c0f924f2cfcc95eac350e54",
+}
+
+
+@pytest.mark.parametrize("fraction", ["0.2", "0"])
+def test_loss_curve_keeps_its_bytes(runner, tmp_path, fraction):
+    curve = tmp_path / "loss_curve.csv"
+    result = runner.invoke(
+        cli,
+        ["train", "--model", "nested", "--p", "6", "--n", "20", "--count", "6",
+         "--net-blocks", "1", "--filters", "2", "--epochs", "2", "--batch-size", "2",
+         "--validation-fraction", fraction, "--weights-out", str(tmp_path / "w.cdnw"),
+         "--loss-curve-out", str(curve)],
+    )
+    assert result.exit_code == 0, result.output
+    rows = curve.read_text().splitlines()
+    assert len(rows) == 3 and all(row.endswith(",") == (fraction == "0") for row in rows[1:])
+    assert _digests(tmp_path, ["loss_curve.csv"]) == {"loss_curve.csv": GOLDEN_LOSS_CURVES[fraction]}

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from covdenoise import (
     write_prices,
     write_returns,
 )
+from covdenoise import ingest
 from covdenoise.ingest import read_exclusions
 
 
@@ -293,3 +295,96 @@ def test_returns_roundtrip_is_lossless(tmp_path, seed):
     again = load_returns(tmp_path / "r.csv")
     assert again.dates == dates and again.symbols == symbols
     assert np.array_equal(_bits(again.values), _bits(panel.values))
+
+
+@pytest.mark.parametrize("load", [load_prices, load_returns])
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        pytest.param("date\n2024-01-01\n2024-01-02\n", "at least one nonempty symbol",
+                     id="no-symbol"),
+        pytest.param("date,A,\n2024-01-01,1,1\n2024-01-02,1,1\n", "at least one nonempty symbol",
+                     id="empty-symbol"),
+        pytest.param("date,A\n", "no data rows", id="header-only"),
+        pytest.param("date,A\n\n\n", "no data rows", id="blank-rows-only"),
+        pytest.param("", "empty file", id="empty-file"),
+        pytest.param("Date,A\n2024-01-01,1\n", "headed 'date'", id="date-column-name"),
+        pytest.param("date,A\n2024-01-01,1,2\n", "row 2: expected 2 cells, got 3",
+                     id="extra-cell"),
+    ],
+)
+def test_loaders_reject_the_same_malformed_tables(tmp_path, load, text, problem):
+    path = write_csv(tmp_path / "t.csv", text)
+    with pytest.raises(DataError, match=problem):
+        load(path)
+
+
+@pytest.mark.parametrize("load", [load_prices, load_returns])
+def test_loaders_require_yyyy_mm_dd_dates(tmp_path, load):
+    # as strings "20240102" sorts after "2024-01-03", though it is the day before
+    path = write_csv(tmp_path / "t.csv", "date,A\n2024-01-03,1\n20240102,1\n")
+    with pytest.raises(DataError, match="row 3: malformed date '20240102'"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "token,valid",
+    [
+        ("2024-01-02", True),
+        ("0999-12-31", True),
+        ("20240102", False),
+        ("2024-1-02", False),
+        ("2024-02-30", False),
+        ("2024-W01-2", False),
+        ("2024-01-02T00:00", False),
+        (" 2024-01-02", False),
+        ("", False),
+    ],
+)
+def test_is_iso_date_accepts_only_the_canonical_spelling(token, valid):
+    assert ingest.is_iso_date(token) is valid
+
+
+def test_price_row_messages_name_the_cell(tmp_path):
+    cases = {
+        "date,A,B\n2024-01-01,1,-inf\n": "row 2, column 3: bad price '-inf'",
+        "date,A,B\n2024-01-01,1, x \n": "row 2, column 3: bad price 'x'",
+        "date,A,B\n2024-01-01,-0.0,2\n": "row 2, column 2: bad price '-0.0'",
+        "date,A,B\n2024-01-01,,0\n": "row 2, column 3: bad price '0'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(DataError, match=message):
+            load_prices(write_csv(tmp_path / "p.csv", text))
+
+
+def _golden_panels():
+    rng = np.random.default_rng(2024)
+    dates = tuple(f"2024-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(60))
+    symbols = ("AAA", "B-1", "c.x")
+    prices = rng.uniform(0.01, 5000.0, size=(60, 3))
+    prices[5, 1] = prices[7, 0] = np.nan
+    prices[9, 2] = 5e-324
+    prices[11, 1] = 1.7e308
+    values = rng.standard_normal((3, 60)) * 0.01
+    values[0, 3] = -0.0
+    values[1, 4] = 1e-310
+    values[2, 5] = -2.5e300
+    return PricePanel(dates, symbols, prices), ReturnsPanel(dates, symbols, values)
+
+
+# sha256 of the files these panels gave before the writers shared one codec
+GOLDEN_PANEL_FILES = {
+    "prices.csv": "8fddfc114f4a0e78fadbc9d479c25c8b43586802a11a57904fa6b803d0b665d3",
+    "returns.csv": "520e6c441841483eec93635737ebf8f40991ddbfa0eea4d114d3dd94e40a81c6",
+}
+
+
+def test_panel_writers_keep_their_bytes(tmp_path):
+    prices, returns = _golden_panels()
+    write_prices(prices, tmp_path / "prices.csv")
+    write_returns(returns, tmp_path / "returns.csv")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_PANEL_FILES
+    }
+    assert digests == GOLDEN_PANEL_FILES
