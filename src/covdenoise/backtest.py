@@ -260,7 +260,11 @@ def uniform_portfolio(panel: ReturnsPanel, config: WalkForwardConfig) -> Backtes
 
 def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:
     """Emit metrics JSON, weights CSV, daily-returns CSV, wealth CSV and the
-    per-window diagnostics JSON."""
+    per-window diagnostics JSON.
+
+    Each file is replaced atomically and ``metrics.json`` is written last, so
+    a new ``metrics.json`` means all five files are new; after a failure the
+    old one is left beside whichever files were already replaced."""
     out = Path(out_dir)
     paths = {
         "metrics": out / "metrics.json",
@@ -269,7 +273,6 @@ def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:
         "wealth": out / "wealth.csv",
         "diagnostics": out / "diagnostics.json",
     }
-    atomic_write(paths["metrics"], report.metrics.to_json_text())
     weights = [allocation.weights.tolist() for allocation in report.weight_history]
     write_dated_table(paths["weights"], report.symbols, report.rebalance_dates, weights)
     daily = report.daily_returns[:, None]
@@ -277,4 +280,5 @@ def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:
     wealth = np.cumprod(1.0 + report.daily_returns)[:, None]
     write_dated_table(paths["wealth"], ("wealth",), report.daily_dates, wealth.tolist())
     atomic_write(paths["diagnostics"], json.dumps(report.diagnostics, indent=2) + "\n")
+    atomic_write(paths["metrics"], report.metrics.to_json_text())
     return paths

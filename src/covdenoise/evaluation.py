@@ -6,6 +6,12 @@ and minimum-variance losses per estimator.  Realizations run on independent
 sub-seeds and may be evaluated on a thread pool; aggregation is by
 realization index, so thread scheduling never changes the results.
 
+The harness parallelizes over realizations, never inside BLAS: everything
+after the denoiser training runs with the loaded OpenBLAS pinned to one
+thread, so ``threads`` pool threads use ``threads`` cores and the results do
+not depend on the host's ``OPENBLAS_NUM_THREADS``.  Training keeps the host's
+BLAS threads.
+
 Each realization calls ``models.sample_covariance`` and :func:`mv_loss`
 directly.  Both read the cached spectrum of their ``CovarianceMatrix``
 arguments, so the population matrix is decomposed once per run and each
@@ -20,6 +26,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .covariance import as_matrix
 from .errors import CovDenoiseError, ParameterError
 from .estimators import make_estimator, network_mode
@@ -135,52 +142,53 @@ def run_monte_carlo(
     needs_training = [name for name in names if modes[name]]
     if needs_training and denoiser_config is None:
         raise ParameterError(f"estimators {needs_training} require a denoiser configuration")
-    sigma = model.build()
     weights = _train_harness_weights(
         model, n, set(modes.values()), seed, denoiser_config, train_count
     )
-    bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
-    sigma.spectrum  # filled before any realization runs; pool threads only read it
+    with single_blas_thread():
+        sigma = model.build()
+        bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
+        sigma.spectrum  # filled before any realization runs; pool threads only read it
 
-    losses_f = {name: np.full(m, np.nan) for name in names}
-    losses_mv = {name: np.full(m, np.nan) for name in names}
+        losses_f = {name: np.full(m, np.nan) for name in names}
+        losses_mv = {name: np.full(m, np.nan) for name in names}
 
-    def one_realization(index: int) -> None:
-        draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
-        for name in names:
-            try:
-                estimate = bound[name](draw.sample)
-                losses_f[name][index] = frobenius_loss(estimate, sigma)
-                losses_mv[name][index] = mv_loss(estimate, sigma)
-            except (CovDenoiseError, np.linalg.LinAlgError):
-                losses_f[name][index] = np.nan
-                losses_mv[name][index] = np.nan
+        def one_realization(index: int) -> None:
+            draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
+            for name in names:
+                try:
+                    estimate = bound[name](draw.sample)
+                    losses_f[name][index] = frobenius_loss(estimate, sigma)
+                    losses_mv[name][index] = mv_loss(estimate, sigma)
+                except (CovDenoiseError, np.linalg.LinAlgError):
+                    losses_f[name][index] = np.nan
+                    losses_mv[name][index] = np.nan
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_realization, range(m)))
-    else:
-        for index in range(m):
-            one_realization(index)
-
-    rows = {}
-    for name in names:
-        f_vals = losses_f[name]
-        mv_vals = losses_mv[name]
-        ok = np.isfinite(f_vals) & np.isfinite(mv_vals)
-        count = int(ok.sum())
-        if count:
-            f_ok, mv_ok = f_vals[ok], mv_vals[ok]
-            se = 1.0 / np.sqrt(count)
-            rows[name] = EstimatorRow(
-                mean_f=float(f_ok.mean()),
-                se_f=float(f_ok.std(ddof=1) * se) if count > 1 else 0.0,
-                mean_mv=float(mv_ok.mean()),
-                se_mv=float(mv_ok.std(ddof=1) * se) if count > 1 else 0.0,
-                failures=m - count,
-            )
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(one_realization, range(m)))
         else:
-            rows[name] = EstimatorRow(np.nan, np.nan, np.nan, np.nan, m)
-    return MonteCarloReport(
-        model=model, p=sigma.dim, n=n, m=m, seed=seed, estimators=names, rows=rows
-    )
+            for index in range(m):
+                one_realization(index)
+
+        rows = {}
+        for name in names:
+            f_vals = losses_f[name]
+            mv_vals = losses_mv[name]
+            ok = np.isfinite(f_vals) & np.isfinite(mv_vals)
+            count = int(ok.sum())
+            if count:
+                f_ok, mv_ok = f_vals[ok], mv_vals[ok]
+                se = 1.0 / np.sqrt(count)
+                rows[name] = EstimatorRow(
+                    mean_f=float(f_ok.mean()),
+                    se_f=float(f_ok.std(ddof=1) * se) if count > 1 else 0.0,
+                    mean_mv=float(mv_ok.mean()),
+                    se_mv=float(mv_ok.std(ddof=1) * se) if count > 1 else 0.0,
+                    failures=m - count,
+                )
+            else:
+                rows[name] = EstimatorRow(np.nan, np.nan, np.nan, np.nan, m)
+        return MonteCarloReport(
+            model=model, p=sigma.dim, n=n, m=m, seed=seed, estimators=names, rows=rows
+        )

@@ -21,7 +21,11 @@ from .errors import DataError, ParameterError
 
 
 def _check_axes(dates: tuple[str, ...], symbols: tuple[str, ...]) -> None:
-    """Dates strictly increase and no symbol repeats; names the first offender."""
+    """Dates are ``YYYY-MM-DD`` and strictly increase, and no symbol repeats;
+    names the first offender."""
+    for position, date in enumerate(dates):
+        if not is_iso_date(date):
+            raise DataError(f"malformed date {date!r} at position {position}")
     for previous, date in zip(dates, dates[1:]):
         if date <= previous:
             problem = "duplicate date" if date == previous else "dates must be strictly increasing"

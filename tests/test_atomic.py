@@ -79,11 +79,11 @@ def _weights():
     return init_weights(DenoiserConfig(input_size=3, num_blocks=1, num_filters=2))
 
 
-def _report():
+def _report(daily=(0.01, -0.02)):
     weights = WeightVector(np.array([0.5, 0.5]))
-    metrics = portfolio_metrics(np.array([0.01, -0.02]), [weights.weights])
+    metrics = portfolio_metrics(np.array(daily), [weights.weights])
     return BacktestReport(
-        ["2024-01-01"], [weights], ["2024-01-01", "2024-01-02"], np.array([0.01, -0.02]),
+        ["2024-01-01"], [weights], ["2024-01-01", "2024-01-02"], np.array(daily),
         metrics, ("A", "B"),
     )
 
@@ -110,6 +110,28 @@ def test_writers_go_through_the_atomic_helper(tmp_path, monkeypatch, write, make
         write(make(), target)
     assert target.read_text() == "previous"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_report_files_keep_the_old_metrics_when_a_later_file_fails(tmp_path, monkeypatch):
+    write_report_files(_report(), tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    real_replace = atomic.os.replace
+    calls = []
+
+    def fail_third(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError("simulated rename failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(atomic.os, "replace", fail_third)
+    with pytest.raises(OSError, match="simulated"):
+        write_report_files(_report(daily=(0.05, 0.03)), tmp_path)
+    # files replaced before the failure are new, but metrics.json, the last
+    # one written, still describes the first report
+    assert (tmp_path / "metrics.json").read_bytes() == before["metrics.json"]
+    assert (tmp_path / "daily_returns.csv").read_bytes() != before["daily_returns.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before)
 
 
 _FILE_WRITE = re.compile(r"\bopen\(|\bfdopen\(|\.write_text\(|\.write_bytes\(")

@@ -328,6 +328,19 @@ def test_loaders_require_yyyy_mm_dd_dates(tmp_path, load):
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda dates: PricePanel(dates, ("A",), np.ones((len(dates), 1))),
+        lambda dates: ReturnsPanel(dates, ("A",), np.zeros((1, len(dates)))),
+    ],
+    ids=["prices", "returns"],
+)
+def test_panels_require_yyyy_mm_dd_dates(make):
+    with pytest.raises(DataError, match="malformed date '20240102' at position 1"):
+        make(("2024-01-03", "20240102"))
+
+
+@pytest.mark.parametrize(
     "token,valid",
     [
         ("2024-01-02", True),
