@@ -1,5 +1,13 @@
 """Pin the OpenBLAS that NumPy loaded to one thread for a block of code.
 
+The package's BLAS rule: work is parallelized over independent units, never
+inside BLAS.  Every Monte Carlo realization and every walk-forward window's
+estimate, allocation and hold run inside :func:`single_blas_thread`, so
+``threads`` pool threads use ``threads`` cores and results do not depend on
+the host's ``OPENBLAS_NUM_THREADS``.  Denoiser training keeps the host's BLAS
+threads; a learned estimator's forward pass, being part of an estimate, runs
+on one.
+
 The thread count is process-wide, so entries are counted under a lock: the
 first entry saves the count and sets 1, the last exit restores it.  The
 library is looked up on first use, not at import, and only among libraries

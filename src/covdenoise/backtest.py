@@ -5,6 +5,10 @@ Weights drift with prices inside each hold period (no daily renormalization);
 turnover is measured between the drifted weights and the next target
 allocation.  Nothing after a rebalance boundary ever enters that rebalance's
 estimate, so the engine is free of look-ahead by construction.
+
+Each window's estimate, allocation and hold run on one BLAS thread; a
+``cnn``/``hybrid`` window's training keeps the host's BLAS threads.  This is
+the package's BLAS rule, stated in :mod:`covdenoise._blas`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .atomic import atomic_write
 from .covariance import CovarianceMatrix, window_covariance
 from .errors import CovDenoiseError, ParameterError
@@ -139,7 +144,8 @@ def _rebalance_loop(
         rebalance_dates.append(panel.dates[boundary])
 
         hold = panel.values[:, boundary:boundary + config.t_out]
-        returns, drifted = _hold_period(allocation.weights, hold, config.return_mode)
+        with single_blas_thread():
+            returns, drifted = _hold_period(allocation.weights, hold, config.return_mode)
         daily_returns.append(returns)
         daily_dates.extend(panel.dates[boundary:boundary + config.t_out])
         diagnostics.append(window_diag)
@@ -177,8 +183,9 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
         in_sample = panel.values[:, boundary - config.t_in:boundary]
         order = None
         if mode and config.seriation_per_window:
-            corr, _ = cov_to_corr(window_covariance(in_sample))
-            order = spectral_seriation(corr)
+            with single_blas_thread():
+                corr, _ = cov_to_corr(window_covariance(in_sample))
+                order = spectral_seriation(corr)
         window_diag: dict = {"window": k, "date": panel.dates[boundary]}
         weights_net = None
         if mode:
@@ -192,25 +199,26 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
             window_diag["final_validation_mse"] = (
                 training_history.validation_mse[-1] if training_history.validation_mse else None
             )
-        estimator = make_estimator(config.estimator, config.t_in, weights=weights_net)
-        sample = CovarianceMatrix(
-            window_covariance(in_sample if order is None else in_sample[order, :]), "sample"
-        )
-        eigenvalues, _ = sample.spectrum
-        window_diag["in_sample_condition"] = float(
-            eigenvalues[-1] / max(eigenvalues[0], 1e-300)
-        )
-        try:
-            estimate = estimator(sample)
-        except CovDenoiseError as exc:
-            raise type(exc)(
-                f"estimator {config.estimator!r} failed at rebalance window {k} "
-                f"({panel.dates[boundary]}): {exc}"
-            ) from exc
-        if order is not None:
-            undo = invert_permutation(order)
-            estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
-        return mvp_plus_weights(estimate), window_diag
+        with single_blas_thread():
+            estimator = make_estimator(config.estimator, config.t_in, weights=weights_net)
+            sample = CovarianceMatrix(
+                window_covariance(in_sample if order is None else in_sample[order, :]), "sample"
+            )
+            eigenvalues, _ = sample.spectrum
+            window_diag["in_sample_condition"] = float(
+                eigenvalues[-1] / max(eigenvalues[0], 1e-300)
+            )
+            try:
+                estimate = estimator(sample)
+            except CovDenoiseError as exc:
+                raise type(exc)(
+                    f"estimator {config.estimator!r} failed at rebalance window {k} "
+                    f"({panel.dates[boundary]}): {exc}"
+                ) from exc
+            if order is not None:
+                undo = invert_permutation(order)
+                estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
+            return mvp_plus_weights(estimate), window_diag
 
     return _rebalance_loop(panel, config, split, allocate)
 

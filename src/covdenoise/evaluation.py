@@ -6,11 +6,9 @@ and minimum-variance losses per estimator.  Realizations run on independent
 sub-seeds and may be evaluated on a thread pool; aggregation is by
 realization index, so thread scheduling never changes the results.
 
-The harness parallelizes over realizations, never inside BLAS: everything
-after the denoiser training runs with the loaded OpenBLAS pinned to one
-thread, so ``threads`` pool threads use ``threads`` cores and the results do
-not depend on the host's ``OPENBLAS_NUM_THREADS``.  Training keeps the host's
-BLAS threads.
+Everything after the denoiser training runs on one BLAS thread, by the
+package's BLAS rule (:mod:`covdenoise._blas`): the harness parallelizes over
+realizations, never inside BLAS.
 
 Each realization calls ``models.sample_covariance`` and :func:`mv_loss`
 directly.  Both read the cached spectrum of their ``CovarianceMatrix``

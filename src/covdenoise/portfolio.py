@@ -14,6 +14,8 @@ from .spectral import floored_spectrum
 
 BUDGET_TOL = 1e-8
 KKT_TOL = 1e-8
+# relative residual past which the long-only QP inverts its free block afresh
+REFACTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,26 +48,36 @@ def mvp_weights(sigma) -> WeightVector:
 def mvp_plus_weights(sigma, max_iterations: int | None = None) -> WeightVector:
     """Long-only minimum-variance weights by a primal active-set method.
 
-    The equality-constrained subproblem on the free coordinates is solved in
-    closed form; blocked coordinates enter the active set at the first
-    boundary crossing and leave on the most negative multiplier, lowest index
-    first, so the pivoting is deterministic and terminates exactly.
+    Each iteration moves towards the closed-form optimum on the free
+    coordinates, inv 1 / (1' inv 1), where ``inv`` is the inverse of the free
+    block held in a p x p workspace with zero rows and columns for blocked
+    coordinates.  ``inv`` starts as the inverse of the floored spectrum and is
+    updated, not re-solved: blocking a coordinate is a Schur-complement
+    downdate (:func:`_block`), releasing one a bordering update
+    (:func:`_release`), O(p^2) each.  Downdates of a near-singular start lose
+    accuracy, so at each stationary point whose free-block residual has grown
+    past ``REFACTOR_TOL`` the free block is inverted afresh.
+
+    A coordinate is blocked at the first boundary crossing: the ratio test
+    keeps the first falling coordinate, in index order, whose ratio lies more
+    than 1e-15 below the best so far (:func:`_ratio_test`).  Blocked
+    coordinates leave on the most negative multiplier, lowest index first, so
+    the pivoting is deterministic and terminates exactly.
     """
     eigenvalues, vectors = floored_spectrum(sigma, "sigma")
     quad = (vectors * eigenvalues) @ vectors.T  # PD version of sigma used by the solver
+    inv = (vectors / eigenvalues) @ vectors.T
+    solved = inv.sum(axis=1)
     p = quad.shape[0]
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)
     weights = np.full(p, 1.0 / p)
     free = np.ones(p, dtype=bool)
     for _ in range(cap):
-        idx = np.flatnonzero(free)
-        sub = quad[np.ix_(idx, idx)]
-        ones = np.ones(idx.size)
-        solved = np.linalg.solve(sub, ones)
-        target = np.zeros(p)
-        target[idx] = solved / solved.sum()
-        step = target - weights
-        if np.max(np.abs(step)) <= 1e-14:
+        step = solved / solved.sum() - weights
+        if np.abs(step).max() <= 1e-14 and _drifted(quad, solved, free):
+            inv, solved = _free_block_inverse(quad, free)
+            step = solved / solved.sum() - weights
+        if np.abs(step).max() <= 1e-14:
             gradient = quad @ weights
             lam = float(weights @ gradient)  # active-set multiplier of the budget constraint
             multipliers = gradient - lam
@@ -74,31 +86,87 @@ def mvp_plus_weights(sigma, max_iterations: int | None = None) -> WeightVector:
                 return WeightVector(np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum(),
                                     long_only=True)
             release = blocked[np.argmin(multipliers[blocked])]
+            _release(inv, solved, quad, release)
             free[release] = True
             continue
-        falling = idx[step[idx] < 0.0]
-        ratios = weights[falling] / -step[falling]
-        limit = 1.0
-        blocker = -1
-        for asset, ratio in zip(falling, ratios):
-            if ratio < limit - 1e-15:
-                limit, blocker = ratio, asset
+        falling = (step < 0.0).nonzero()[0]
+        limit, blocker = _ratio_test(falling, weights[falling] / -step[falling])
         weights = weights + limit * step
         if blocker >= 0:
             weights[blocker] = 0.0
             free[blocker] = False
-        weights = np.clip(weights, 0.0, None)
+            _block(inv, solved, blocker)
+        np.maximum(weights, 0.0, out=weights)
         weights /= weights.sum()
     residual = _kkt_residual(quad, weights)
     raise SolverError(f"active-set solver hit the iteration cap (KKT residual {residual:.3e})")
+
+
+def _block(inv: np.ndarray, solved: np.ndarray, r: int) -> None:
+    """Remove free coordinate ``r`` from ``inv`` and its row sums ``solved``,
+    in place: inv - c c' / c_r with c = inv[:, r].  Column r cancels exactly
+    (c_r / c_r is 1); row r, off by rounding, is zeroed."""
+    column = inv[:, r].copy()
+    inv -= column[:, None] * (column / column[r])
+    solved -= column * (solved[r] / column[r])
+    inv[r, :] = 0.0
+    solved[r] = 0.0
+
+
+def _release(inv: np.ndarray, solved: np.ndarray, quad: np.ndarray, j: int) -> None:
+    """Add blocked coordinate ``j`` to ``inv`` and its row sums ``solved``, in
+    place, by bordering: with u = inv quad[:, j] and s = quad[j, j] - quad[:, j]'u,
+    the new inverse is inv + v v' / s for v = u with v_j = -1."""
+    border = inv @ quad[:, j]
+    schur = quad[j, j] - quad[:, j] @ border
+    border[j] = -1.0
+    inv += border[:, None] * (border / schur)
+    solved += border * (border.sum() / schur)
+
+
+def _drifted(quad: np.ndarray, solved: np.ndarray, free: np.ndarray) -> bool:
+    """Whether ``solved`` no longer solves quad_FF x = 1 to ``REFACTOR_TOL``,
+    relative to |quad|max |x|_1 + 1."""
+    residual = np.abs((quad @ solved)[free] - 1.0).max()
+    return residual > REFACTOR_TOL * (np.abs(quad).max() * np.abs(solved).sum() + 1.0)
+
+
+def _free_block_inverse(quad: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The free block's inverse, factored afresh, in the p x p workspace, and its row sums."""
+    index = np.ix_(free, free)
+    inv = np.zeros_like(quad)
+    inv[index] = np.linalg.inv(quad[index])
+    return inv, inv.sum(axis=1)
+
+
+def _ratio_test(falling: np.ndarray, ratios: np.ndarray) -> tuple[float, int]:
+    """Step length and blocking coordinate (-1 for a full step) of a scan that
+    walks ``falling`` in order and takes each ratio below the running limit,
+    which starts at 1, minus 1e-15.
+
+    The scan ends on the argmin whenever that lies below 1 - 1e-15 and no
+    other ratio r has r - 1e-15 <= min: had it ended on another coordinate,
+    the argmin would have been passed over for lying within 1e-15 above that
+    coordinate's ratio.  Only near-ties run the scan itself.
+    """
+    if ratios.size:
+        first = int(ratios.argmin())
+        low = float(ratios[first])
+        if low < 1.0 - 1e-15 and np.count_nonzero(ratios - 1e-15 <= low) == 1:
+            return low, int(falling[first])
+    limit, blocker = 1.0, -1
+    for asset, ratio in zip(falling, ratios):
+        if ratio < limit - 1e-15:
+            limit, blocker = float(ratio), int(asset)
+    return limit, blocker
 
 
 def _kkt_residual(quad: np.ndarray, weights: np.ndarray) -> float:
     gradient = quad @ weights
     lam = float(weights @ gradient)
     stationarity = np.max(np.abs(gradient[weights > 1e-12] - lam), initial=0.0)
-    feasibility = max(0.0, float(np.max(lam - gradient, initial=0.0)))
-    return max(stationarity, abs(weights.sum() - 1.0), feasibility if feasibility > 0 else 0.0)
+    feasibility = float(np.max(lam - gradient, initial=0.0))
+    return max(stationarity, abs(weights.sum() - 1.0), feasibility)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from covdenoise.portfolio import KKT_TOL
+from covdenoise.spectral import floored_spectrum
+
 
 def random_psd(rng: np.random.Generator, p: int, scale_spread: float = 1.0) -> np.ndarray:
     """Well-conditioned random PSD matrix with strictly positive diagonal."""
@@ -10,6 +13,55 @@ def random_psd(rng: np.random.Generator, p: int, scale_spread: float = 1.0) -> n
         d = np.exp(rng.uniform(-scale_spread, scale_spread, size=p))
         cov = cov * np.outer(d, d)
     return 0.5 * (cov + cov.T)
+
+
+def scan(falling, ratios):
+    """The ratio test as a loop: take each ratio below the running limit minus 1e-15."""
+    limit, blocker = 1.0, -1
+    for asset, ratio in zip(falling, ratios):
+        if ratio < limit - 1e-15:
+            limit, blocker = ratio, asset
+    return limit, blocker
+
+
+def solve_per_pivot(sigma):
+    """Weights and pivot path of the active-set method with a fresh solve per pivot.
+
+    The path lists ("block", asset) for each ratio test (asset -1 for a full
+    step) and ("release", asset) for each release."""
+    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
+    quad = (vectors * eigenvalues) @ vectors.T
+    p = quad.shape[0]
+    weights = np.full(p, 1.0 / p)
+    free = np.ones(p, dtype=bool)
+    path = []
+    for _ in range(50 * max(p, 2)):
+        idx = np.flatnonzero(free)
+        solved = np.linalg.solve(quad[np.ix_(idx, idx)], np.ones(idx.size))
+        target = np.zeros(p)
+        target[idx] = solved / solved.sum()
+        step = target - weights
+        if np.max(np.abs(step)) <= 1e-14:
+            gradient = quad @ weights
+            multipliers = gradient - float(weights @ gradient)
+            blocked = np.flatnonzero(~free)
+            if blocked.size == 0 or np.all(multipliers[blocked] >= -KKT_TOL):
+                kept = np.maximum(weights, 0.0)
+                return kept / kept.sum(), path
+            release = blocked[np.argmin(multipliers[blocked])]
+            free[release] = True
+            path.append(("release", int(release)))
+            continue
+        falling = idx[step[idx] < 0.0]
+        limit, blocker = scan(falling, weights[falling] / -step[falling])
+        path.append(("block", int(blocker)))
+        weights = weights + limit * step
+        if blocker >= 0:
+            weights[blocker] = 0.0
+            free[blocker] = False
+        weights = np.clip(weights, 0.0, None)
+        weights /= weights.sum()
+    raise AssertionError("oracle hit its iteration cap")
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from covdenoise import (
     WalkForwardConfig,
     buy_and_hold,
     mvp_plus_weights,
+    WeightVector,
     uniform_portfolio,
     walk_forward,
     write_report_files,
@@ -20,6 +21,7 @@ from covdenoise import (
 from covdenoise.covariance import CovarianceMatrix, symmetrize
 from covdenoise.denoiser import DenoiserConfig
 from covdenoise.ingest import ReturnsPanel
+from conftest import solve_per_pivot
 
 
 def make_panel(values, start="2023-01-01"):
@@ -256,13 +258,15 @@ def test_every_report_file_is_replaced_atomically(tmp_path, rng, monkeypatch):
     )
 
 
-# sha256 of the report files of this backtest before the CSV writers shared
-# one codec; the diagnostics file came later and is not pinned
+# sha256 of the report files of this backtest; the diagnostics file is not
+# pinned.  Recorded again when the QP began updating its free-block inverse:
+# weights moved by at most 3.3e-16 and daily returns by 4.4e-16, and
+# test_pinned_report_matches_the_solve_per_pivot_oracle checks them
 GOLDEN_REPORT_FILES = {
-    "metrics.json": "308fef88f2fdd7523ce860486367298dd338fc2bc6e714c9b963f6444496e64c",
-    "weights.csv": "2b89d7408ac4548ee4d5d6410c58014a9adc4873111281372117ff047842d855",
-    "daily_returns.csv": "4264882eea771f5a775052c20db9ddb6ccae060529823fb0c2f9380f19180c41",
-    "wealth.csv": "5e1b60744ae81379be3a66cafb29aad932f2a143fc22b458fea1696d51772e3d",
+    "metrics.json": "02c6d08962177dbe819b2a47cd0c6bc5c7ac9d113928a5ae8142647215d27a93",
+    "weights.csv": "8caf249ac3627b9d7afe95d51a794912fb294bcdc7370be3a22659e9e7b08bb7",
+    "daily_returns.csv": "ed2718ce26152a6cf33bb3ade0ed7a2cd078ddbed03901ff34bdbbf446e598bc",
+    "wealth.csv": "d8db866e46790e7e89d86aaceb0c0ccf055254941169f90271a73cd8a8ca975b",
 }
 
 
@@ -275,6 +279,19 @@ def test_report_files_keep_their_bytes(tmp_path):
         for name in GOLDEN_REPORT_FILES
     }
     assert digests == GOLDEN_REPORT_FILES
+
+
+def test_pinned_report_matches_the_solve_per_pivot_oracle(monkeypatch):
+    panel = iid_panel(np.random.default_rng(7), 3, 140)
+    config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=20, delta_t=20)
+    report = walk_forward(panel, config)
+    monkeypatch.setattr(backtest, "mvp_plus_weights",
+                        lambda sigma: WeightVector(solve_per_pivot(sigma)[0], long_only=True))
+    expected = walk_forward(panel, config)
+    for allocation, oracle in zip(report.weight_history, expected.weight_history, strict=True):
+        assert np.array_equal(allocation.weights > 0, oracle.weights > 0)
+        np.testing.assert_allclose(allocation.weights, oracle.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.daily_returns, expected.daily_returns, rtol=0, atol=1e-12)
 
 
 def test_two_step_hybrid_walk_forward_runs(rng):

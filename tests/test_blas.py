@@ -1,3 +1,4 @@
+import datetime
 import logging
 import os
 import subprocess
@@ -5,10 +6,11 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covdenoise.denoiser as denoiser
-from covdenoise import ModelKind, ModelSpec, _blas, run_monte_carlo
+from covdenoise import ModelKind, ModelSpec, ReturnsPanel, _blas, run_monte_carlo, write_returns
 from covdenoise._blas import single_blas_thread
 from covdenoise.denoiser import DenoiserConfig
 
@@ -148,6 +150,36 @@ def test_harness_training_runs_at_the_host_count(host_count, monkeypatch):
     assert _count() == host_count
 
 
+@needs_control
+def test_walk_forward_trains_at_the_host_count_and_allocates_and_holds_pinned(
+    host_count, monkeypatch
+):
+    import covdenoise.backtest as backtest
+
+    seen = {"train": [], "allocate": [], "hold": []}
+
+    def recording(name, real):
+        def record(*args, **kwargs):
+            seen[name].append(_count())
+            return real(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(denoiser, "train", recording("train", denoiser.train))
+    monkeypatch.setattr(backtest, "mvp_plus_weights",
+                        recording("allocate", backtest.mvp_plus_weights))
+    monkeypatch.setattr(backtest, "_hold_period", recording("hold", backtest._hold_period))
+    panel = _factor_panel(1, 3, 220)
+    net = DenoiserConfig(input_size=3, num_blocks=1, num_filters=2, kernel=3,
+                         epochs=1, batch_size=8, seed=4)
+    config = backtest.WalkForwardConfig(
+        split_date=panel.dates[90], t_in=25, t_out=60, delta_t=60, estimator="2s-hybrid",
+        denoiser_config=net, train_window_count=4, train_stride=2, pre_history_days=60,
+    )
+    backtest.walk_forward(panel, config)
+    assert seen == {"train": [host_count] * 2, "allocate": [1] * 2, "hold": [1] * 2}
+    assert _count() == host_count
+
+
 @pytest.mark.parametrize(
     "paths,why",
     [([], "no OpenBLAS is loaded"), (["/nonexistent/libopenblas.so"], "no thread control in")],
@@ -189,4 +221,42 @@ def test_simulate_reports_do_not_depend_on_the_hosts_blas_threads(tmp_path):
             env={**env, **extra}, capture_output=True, timeout=120, check=True,
         )
         outputs.append([(out / file).read_bytes() for file in ("report.csv", "report.json")])
+    assert outputs[0] == outputs[1]
+
+
+def _factor_panel(seed: int, p: int, days: int) -> ReturnsPanel:
+    """Positively correlated daily log returns: market and sector factors plus t noise."""
+    rng = np.random.default_rng(seed)
+    market = 0.035 * rng.standard_t(4, days) / np.sqrt(2.0)
+    sectors = 0.02 * rng.standard_t(4, (8, days)) / np.sqrt(2.0)
+    values = (rng.uniform(0.6, 1.4, (p, 1)) * market
+              + rng.uniform(0.3, 0.9, (p, 1)) * sectors[rng.integers(0, 8, p)]
+              + rng.uniform(0.02, 0.06, (p, 1)) * rng.standard_t(3, (p, days)) / np.sqrt(3.0))
+    start = datetime.date(2020, 1, 1)
+    dates = tuple((start + datetime.timedelta(days=day)).isoformat() for day in range(days))
+    return ReturnsPanel(dates, tuple(f"S{asset:03d}" for asset in range(p)), values)
+
+
+@needs_control
+@pytest.mark.parametrize("estimator", ["naive", "2s-lp"])
+def test_backtest_reports_do_not_depend_on_the_hosts_blas_threads(tmp_path, estimator):
+    # ten weekly rebalances of 99 assets on 182-day windows; with the host's
+    # threads every report file of the walk-forward loop changed between the two settings
+    panel = _factor_panel(0, 99, 182 + 10 * 7)
+    returns = tmp_path / "returns.csv"
+    write_returns(panel, returns)
+    args = ["backtest", "--returns", str(returns), "--split-date", panel.dates[182],
+            "--t-in", "182", "--t-out", "7", "--delta-t", "7", "--estimator", estimator]
+    files = ("metrics.json", "weights.csv", "daily_returns.csv", "wealth.csv", "diagnostics.json")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(SRC)
+    outputs = []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "covdenoise.cli", *args, "--out-dir", str(out)],
+            env={**env, **extra}, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append([(out / file).read_bytes() for file in files])
     assert outputs[0] == outputs[1]
