@@ -204,7 +204,7 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
             sample = CovarianceMatrix(
                 window_covariance(in_sample if order is None else in_sample[order, :]), "sample"
             )
-            eigenvalues, _ = sample.spectrum
+            eigenvalues = sample.eigenvalues
             window_diag["in_sample_condition"] = float(
                 eigenvalues[-1] / max(eigenvalues[0], 1e-300)
             )

@@ -4,7 +4,9 @@ returns.
 A :class:`CovarianceMatrix` is frozen after validation, so its ascending
 spectrum is computed once and cached; the descending decomposition
 (:func:`~covdenoise.spectral.eigendecompose_sym` reorders it), the sampling
-root, the minimum-variance loss and the portfolio allocation all read it.
+root and the portfolio allocation all read it.  The eigenvalues that
+validation computes are kept too; the minimum-variance loss and the
+backtest's condition number need nothing more.
 """
 
 from __future__ import annotations
@@ -45,12 +47,15 @@ class CovarianceMatrix:
     Invariants checked at construction: symmetry to 1e-12 absolute, minimum
     eigenvalue >= -1e-10 * maximum eigenvalue, strictly positive diagonal.
     The array is frozen (read-only) after validation, so its spectrum is
-    computed on first use and cached.
+    computed on first use and cached.  ``eigenvalues`` holds the ascending
+    ``np.linalg.eigvalsh`` values of the validation, read-only; they may
+    differ from ``spectrum[0]`` in the last bits.
     """
 
     values: np.ndarray
     provenance: str = "sample"
     dim: int = field(init=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     # lazily filled; shared with every retagged copy of these values
     _cache: dict = field(init=False, repr=False, compare=False)
 
@@ -76,8 +81,10 @@ class CovarianceMatrix:
             )
         _check_provenance(self.provenance)
         values.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dim", values.shape[0])
+        object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -98,8 +105,8 @@ class CovarianceMatrix:
         return self._cache["spectrum"]
 
     def retagged(self, provenance: str) -> "CovarianceMatrix":
-        """The same validated, frozen values and spectrum cache under a new
-        provenance tag; only the tag is checked."""
+        """The same validated, frozen values, eigenvalues and spectrum cache
+        under a new provenance tag; only the tag is checked."""
         _check_provenance(provenance)
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, provenance=provenance)

@@ -11,27 +11,31 @@ package's BLAS rule (:mod:`covdenoise._blas`): the harness parallelizes over
 realizations, never inside BLAS.
 
 Each realization calls ``models.sample_covariance`` and :func:`mv_loss`
-directly.  Both read the cached spectrum of their ``CovarianceMatrix``
-arguments, so the population matrix is decomposed once per run and each
-sample once, shared by every estimator and loss that needs its spectrum.
+directly.  Both read what their ``CovarianceMatrix`` arguments cache, so the
+population matrix is decomposed once per run and its Sigma^-2 built once,
+before any realization runs.  :func:`mv_loss` reads only the estimate's
+eigenvalues, which its validation already computed, so the one
+eigendecomposition of a realization is the sample's, for the estimators that
+need its vectors.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
 from ._blas import single_blas_thread
-from .covariance import as_matrix
-from .errors import CovDenoiseError, ParameterError
+from .covariance import CovarianceMatrix, as_matrix
+from .errors import CovDenoiseError, ParameterError, SingularMatrixError
 from .estimators import make_estimator, network_mode
 from .ingest import table_text
 from .models import ModelSpec, sample_covariance
 from .randomness import STREAM_REALIZATION, child_seed
-from .spectral import floored_spectrum
+from .spectral import floored_eigenvalues, floored_spectrum
 
 
 def frobenius_loss(xi, sigma) -> float:
@@ -44,13 +48,32 @@ def frobenius_loss(xi, sigma) -> float:
     return float(np.sum(diff * diff) / sigma.shape[0])
 
 
-def _floored_inverse(m, name: str, singular_ok: bool) -> np.ndarray:
-    eigenvalues, vectors = floored_spectrum(m, name, singular_ok)
-    return (vectors / eigenvalues) @ vectors.T
+def _population_inverse(sigma) -> tuple[np.ndarray, float]:
+    """Sigma^-2 and Tr Sigma^-1 from Sigma's floored spectrum, cached on a
+    CovarianceMatrix beside its spectrum.
+
+    Not locked: a matrix shared between threads must have them filled before
+    the threads start.  A singular Sigma raises and caches nothing.
+    """
+    cache = sigma._cache if isinstance(sigma, CovarianceMatrix) else {}
+    if "mv_loss" not in cache:
+        eigenvalues, vectors = floored_spectrum(sigma, "sigma", singular_ok=False)
+        inverse_square = (vectors / eigenvalues**2) @ vectors.T
+        inverse_square.flags.writeable = False
+        cache["mv_loss"] = (inverse_square, float(np.sum(1.0 / eigenvalues)))
+    return cache["mv_loss"]
 
 
 def mv_loss(xi, sigma) -> float:
-    """Minimum-variance loss of an estimate against the population matrix.
+    """Minimum-variance loss of an estimate against the population matrix,
+
+        p Tr(Sigma^-1 Xi Sigma^-1) / (Tr Sigma^-1)^2 - p / Tr Xi^-1.
+
+    The numerator is read as the inner product <Sigma^-2, Xi>, with Sigma^-2
+    built once per population matrix (:func:`_population_inverse`), so the
+    estimate contributes only its eigenvalues: the validation eigenvalues of
+    a CovarianceMatrix, or one ``eigvalsh`` of a plain array.  This agrees
+    with the explicit product of inverses within 1e-12 relative.
 
     Near-singular estimates are inverted after flooring eigenvalues at
     1e-12 times the largest; a singular population matrix is an error.
@@ -60,11 +83,11 @@ def mv_loss(xi, sigma) -> float:
     if xi_values.shape != sigma_values.shape:
         raise ParameterError(f"dimension mismatch: {xi_values.shape} vs {sigma_values.shape}")
     p = sigma_values.shape[0]
-    sigma_inv = _floored_inverse(sigma, "sigma", singular_ok=False)
-    xi_inv = _floored_inverse(xi, "xi", singular_ok=True)
-    numerator = float(np.trace(sigma_inv @ xi_values @ sigma_inv)) / p
-    denominator = (float(np.trace(sigma_inv)) / p) ** 2
-    return numerator / denominator - 1.0 / (float(np.trace(xi_inv)) / p)
+    inverse_square, sigma_inv_trace = _population_inverse(sigma)
+    xi_eigenvalues = floored_eigenvalues(xi, "xi")
+    numerator = float(np.vdot(inverse_square, xi_values)) / p
+    denominator = (sigma_inv_trace / p) ** 2
+    return numerator / denominator - 1.0 / (float(np.sum(1.0 / xi_eigenvalues)) / p)
 
 
 @dataclass(frozen=True)
@@ -146,7 +169,11 @@ def run_monte_carlo(
     with single_blas_thread():
         sigma = model.build()
         bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
-        sigma.spectrum  # filled before any realization runs; pool threads only read it
+        # sigma's spectrum and Sigma^-2 are filled before any realization
+        # runs, so pool threads only read them.  A singular sigma caches its
+        # spectrum only: every mv_loss raises and counts as a failure
+        with suppress(SingularMatrixError):
+            _population_inverse(sigma)
 
         losses_f = {name: np.full(m, np.nan) for name in names}
         losses_mv = {name: np.full(m, np.nan) for name in names}

@@ -1,10 +1,11 @@
 """Symmetric-matrix machinery: eigendecomposition with fixed conventions,
-the floored spectrum used to invert near-singular matrices, PSD projection,
-correlation scaling, the Stieltjes transform, and spectral seriation of
-correlation matrices.
+the floored spectrum and eigenvalues used to invert near-singular matrices,
+PSD projection, correlation scaling, the Stieltjes transform, and spectral
+seriation of correlation matrices.
 
 For a :class:`~covdenoise.covariance.CovarianceMatrix` every spectral helper
-here reads the matrix's cached ``spectrum`` instead of calling LAPACK again.
+here reads the matrix's cached ``spectrum`` or its validation eigenvalues
+instead of calling LAPACK again.
 """
 
 from __future__ import annotations
@@ -76,15 +77,10 @@ def eigendecompose_sym(m) -> SpectralDecomposition:
     )
 
 
-def floored_spectrum(m, name: str, singular_ok: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectrum with every eigenvalue raised to at least
-    ``EIGENVALUE_FLOOR`` times the largest, so the matrix can be inverted.
-
-    Raises :class:`SingularMatrixError` when no eigenvalue is positive, and
-    when ``singular_ok`` is false and any eigenvalue lies at or below the
-    floor.
-    """
-    eigenvalues, vectors = ascending_spectrum(m)
+def _floor(eigenvalues: np.ndarray, name: str, singular_ok: bool) -> np.ndarray:
+    """Ascending eigenvalues raised to at least ``EIGENVALUE_FLOOR`` times the
+    largest: the one floor rule of :func:`floored_spectrum` and
+    :func:`floored_eigenvalues`."""
     top = eigenvalues[-1]
     if top <= 0.0:
         raise SingularMatrixError(f"{name} has no positive eigenvalues")
@@ -96,7 +92,33 @@ def floored_spectrum(m, name: str, singular_ok: bool = True) -> tuple[np.ndarray
                 f"{name} is singular ({deficient} eigenvalues at or below {floor:.3e})"
             )
         logger.debug("floored %d eigenvalues of %s", deficient, name)
-    return np.maximum(eigenvalues, floor), vectors
+    return np.maximum(eigenvalues, floor)
+
+
+def floored_spectrum(m, name: str, singular_ok: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectrum with every eigenvalue raised to at least
+    ``EIGENVALUE_FLOOR`` times the largest, so the matrix can be inverted.
+
+    Raises :class:`SingularMatrixError` when no eigenvalue is positive, and
+    when ``singular_ok`` is false and any eigenvalue lies at or below the
+    floor.
+    """
+    eigenvalues, vectors = ascending_spectrum(m)
+    return _floor(eigenvalues, name, singular_ok), vectors
+
+
+def floored_eigenvalues(m, name: str) -> np.ndarray:
+    """The eigenvalues of :func:`floored_spectrum` with ``singular_ok``,
+    without the vectors: a CovarianceMatrix's validation eigenvalues, or one
+    ``eigvalsh`` of a plain array, floored by the same rule."""
+    if isinstance(m, CovarianceMatrix):
+        eigenvalues = m.eigenvalues
+    else:
+        try:
+            eigenvalues = np.linalg.eigvalsh(np.asarray(m, dtype=float))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericError(f"eigenvalue computation failed to converge: {exc}") from exc
+    return _floor(eigenvalues, name, singular_ok=True)
 
 
 def psd_project(m, floor: float = 0.0) -> np.ndarray:

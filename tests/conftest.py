@@ -15,6 +15,23 @@ def random_psd(rng: np.random.Generator, p: int, scale_spread: float = 1.0) -> n
     return 0.5 * (cov + cov.T)
 
 
+def reference_mv_loss(xi, sigma) -> float:
+    """The minimum-variance loss as explicit products of floored inverses:
+    one eigendecomposition of each argument and four p x p matrix products."""
+
+    def floored_inverse(m, name, singular_ok):
+        eigenvalues, vectors = floored_spectrum(m, name, singular_ok)
+        return (vectors / eigenvalues) @ vectors.T
+
+    xi_values = xi.values if hasattr(xi, "values") else np.asarray(xi, dtype=float)
+    p = xi_values.shape[0]
+    sigma_inv = floored_inverse(sigma, "sigma", singular_ok=False)
+    xi_inv = floored_inverse(xi, "xi", singular_ok=True)
+    numerator = float(np.trace(sigma_inv @ xi_values @ sigma_inv)) / p
+    denominator = (float(np.trace(sigma_inv)) / p) ** 2
+    return numerator / denominator - 1.0 / (float(np.trace(xi_inv)) / p)
+
+
 def scan(falling, ratios):
     """The ratio test as a loop: take each ratio below the running limit minus 1e-15."""
     limit, blocker = 1.0, -1

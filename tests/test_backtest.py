@@ -357,11 +357,14 @@ def _count_lapack(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("estimator, eigh, eigvalsh", [("naive", 1, 1), ("2s-lp", 2, 3)])
+@pytest.mark.parametrize(
+    "estimator, eigh, eigvalsh", [("naive", 1, 1), ("alca", 1, 2), ("2s-lp", 2, 3)]
+)
 def test_each_window_matrix_is_decomposed_once(rng, monkeypatch, estimator, eigh, eigvalsh):
-    # naive: the sample's validation, and one spectrum shared by the
-    # condition number and the allocation; 2s-lp adds the validation of
-    # both stages and the spectrum of the estimate it allocates on
+    # naive: the sample's validation, whose eigenvalues give the condition
+    # number, and the spectrum the allocation reads; alca allocates on its
+    # estimate, so the sample needs no spectrum; 2s-lp adds the validation
+    # of both stages and the sample spectrum of its first stage
     panel = iid_panel(rng, 5, 200)
     config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
                                t_in=40, t_out=30, delta_t=30)

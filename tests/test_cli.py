@@ -354,11 +354,14 @@ def _digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
 
-# sha256 of each file before the CSV writers shared one codec.  With p=60 and
-# n=200 every alca and 2s-lp realization fails, so their rows are all nan.
+# sha256 of each file.  The report digests were recorded when mv_loss came to
+# read the estimate's eigenvalues (test_simulate_rows_match_the_reference_loss
+# bounds the move); the diagnostics digests date from before the CSV writers
+# shared one codec.  With p=60 and n=200 every alca and 2s-lp realization
+# fails, so their rows are all nan.
 GOLDEN_SIMULATE_FILES = {
-    "report.csv": "cd6963360eaf9f921a810ed03c14852a4c5cd475bde5aaffc0535f9dcdfe96c6",
-    "report.json": "804b2d39296043225a08c34603101b3f8e6e03e814352d5ba3c2c90bc7d29bb5",
+    "report.csv": "876f823de474064b8f05635a46597f243c2c531598d915c59251eff8eee5359c",
+    "report.json": "f8cdda3cf6f37b5e09b78e10c5e282289b858c6fa30ddfadf242b017e02562a6",
     "scree.csv": "d766928bb29032a57a82e43c20138490e7121dbf1570f83c27dabc6d068e6e32",
     "dendrogram.csv": "fa624b028adc37c5837bf80aac3b221367d25c434a79f5c52ca051d03cb615b8",
 }
@@ -374,6 +377,41 @@ def test_simulate_files_keep_their_bytes(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "alca,nan,nan,nan,nan,3\n" in (tmp_path / "report.csv").read_text()
     assert _digests(tmp_path, GOLDEN_SIMULATE_FILES) == GOLDEN_SIMULATE_FILES
+
+
+def test_simulate_rows_match_the_reference_loss(runner, tmp_path):
+    from covdenoise import ModelSpec, frobenius_loss, make_estimator, sample_covariance
+    from covdenoise.errors import CovDenoiseError
+    from covdenoise.randomness import STREAM_REALIZATION, child_seed
+    from conftest import reference_mv_loss
+
+    result = runner.invoke(
+        cli,
+        ["simulate", "--model", "powerlaw", "--p", "60", "--n", "200", "--m", "3",
+         "--estimators", "naive,lp,alca,2s-lp", "--seed", "5", "--out-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "report.json").read_text())
+    sigma = ModelSpec.from_config(payload["model"]).build()
+    for name, row in payload["rows"].items():
+        f_vals, mv_vals = [], []
+        for index in range(3):
+            sample = sample_covariance(sigma, 200, child_seed(5, STREAM_REALIZATION, index)).sample
+            try:
+                estimate = make_estimator(name, 200)(sample)
+            except CovDenoiseError:
+                continue
+            f_vals.append(frobenius_loss(estimate, sigma))
+            mv_vals.append(reference_mv_loss(estimate, sigma))
+        assert row["failures"] == 3 - len(mv_vals)
+        if not mv_vals:
+            assert all(np.isnan(row[key]) for key in ("mean_f", "se_f", "mean_mv", "se_mv"))
+            continue
+        se = 1.0 / np.sqrt(len(mv_vals))
+        assert row["mean_f"] == np.mean(f_vals) and row["se_f"] == np.std(f_vals, ddof=1) * se
+        for key, expected in (("mean_mv", np.mean(mv_vals)),
+                              ("se_mv", np.std(mv_vals, ddof=1) * se)):
+            assert abs(row[key] - expected) <= 1e-12 * abs(expected), (name, key)
 
 
 GOLDEN_LOSS_CURVES = {

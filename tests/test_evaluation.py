@@ -1,10 +1,12 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import covdenoise.evaluation as evaluation
 from covdenoise import (
+    CovarianceMatrix,
     ModelKind,
     ModelSpec,
     ParameterError,
@@ -16,7 +18,7 @@ from covdenoise import (
 )
 from covdenoise.errors import SingularMatrixError
 from covdenoise.randomness import STREAM_REALIZATION, child_seed
-from conftest import random_psd
+from conftest import random_psd, reference_mv_loss
 
 
 def test_frobenius_zero_iff_equal(rng):
@@ -64,6 +66,69 @@ def test_mv_singular_population_raises(rng):
     singular = np.diag([1.0, 0.0])
     with pytest.raises(SingularMatrixError, match="sigma"):
         mv_loss(np.eye(2), singular)
+    ones = CovarianceMatrix(np.ones((2, 2)), "model-1")
+    with pytest.raises(SingularMatrixError, match="sigma"):
+        mv_loss(np.eye(2), ones)
+    assert "mv_loss" not in ones._cache
+
+
+def _relative(value, reference, scale=None):
+    return abs(value - reference) / abs(reference if scale is None else scale)
+
+
+@pytest.mark.parametrize("p", [1, 5, 100, 200])
+def test_mv_loss_matches_the_product_of_inverses(rng, p):
+    for _ in range(3):
+        sigma = CovarianceMatrix(random_psd(rng, p, scale_spread=1.0), "model-1")
+        xi = CovarianceMatrix(random_psd(rng, p, scale_spread=0.5), "estimator:lp")
+        expected = reference_mv_loss(xi, sigma)
+        # at p = 1 the loss vanishes identically: measure against Xi's scale
+        scale = float(xi.values[0, 0]) if p == 1 else None
+        assert _relative(mv_loss(xi, sigma), expected, scale) <= 1e-12
+        assert _relative(mv_loss(xi.values, sigma.values),
+                         reference_mv_loss(xi.values, sigma.values), scale) <= 1e-12
+
+
+def test_mv_loss_matches_the_product_of_inverses_where_the_floor_binds(rng):
+    sigma = CovarianceMatrix(random_psd(rng, 40), "model-1")
+    for seed in range(3):
+        sample = sample_covariance(sigma, 12, seed).sample
+        # p > n: 28 eigenvalues of the sample lie at or below the floor
+        assert np.sum(sample.eigenvalues <= 1e-12 * sample.eigenvalues[-1]) >= 28
+        expected = reference_mv_loss(sample, sigma)
+        assert _relative(mv_loss(sample, sigma), expected) <= 1e-12
+        assert _relative(mv_loss(sample.values, sigma.values), expected) <= 1e-12
+
+
+def test_mv_loss_of_a_retagged_sample_reads_the_shared_eigenvalues(rng, monkeypatch):
+    sigma = CovarianceMatrix(random_psd(rng, 8), "model-1")
+    sample = sample_covariance(sigma, 20, 3).sample
+    tagged = sample.retagged("estimator:naive")
+    assert tagged.eigenvalues is sample.eigenvalues
+    assert not tagged.eigenvalues.flags.writeable
+    expected = reference_mv_loss(sample, sigma)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("mv_loss decomposed a validated matrix again")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    assert mv_loss(tagged, sigma) == mv_loss(sample, sigma)
+    assert _relative(mv_loss(tagged, sigma), expected) <= 1e-12
+
+
+def test_mv_loss_caches_the_population_inverse_beside_the_spectrum(rng):
+    sigma = CovarianceMatrix(random_psd(rng, 6), "model-1")
+    xi = random_psd(rng, 6)
+    first = mv_loss(xi, sigma)
+    inverse_square, trace = sigma._cache["mv_loss"]
+    assert list(sigma._cache) == ["spectrum", "mv_loss"]
+    assert not inverse_square.flags.writeable
+    eigenvalues, vectors = np.linalg.eigh(sigma.values)
+    assert np.allclose(inverse_square, (vectors / eigenvalues**2) @ vectors.T, rtol=1e-12)
+    assert np.isclose(trace, np.sum(1.0 / eigenvalues), rtol=1e-12)
+    assert mv_loss(xi, sigma.retagged("model-2")) == first
+    assert sigma.retagged("model-2")._cache["mv_loss"][0] is inverse_square
 
 
 def test_mv_floors_near_singular_estimate(rng):
@@ -167,10 +232,10 @@ def test_monte_carlo_decomposes_sigma_once_and_each_sample_once(monkeypatch):
     m = 3
     report = run_monte_carlo(spec, 30, m, ["naive", "lp", "alca", "2s-lp"], seed=4, threads=1)
     assert all(row.failures == 0 for row in report.rows.values())
-    # per run: sigma once; per realization: the sample spectrum (shared by
-    # naive's loss, lp and 2s-lp's first stage) plus one per new estimate
-    # (lp, alca, 2s-lp)
-    assert counts["eigh"] <= 1 + 4 * m
+    # per run: sigma once; per realization: the sample spectrum, for lp's
+    # vectors (2s-lp's first stage reuses lp's estimate); the losses read
+    # only eigenvalues
+    assert counts["eigh"] <= 1 + m
     # per realization: validation of the sample, lp, alca and 2s-lp's
     # filter; 2s-lp reuses the lp estimate and retagging re-validates nothing
     assert counts["eigvalsh"] <= 1 + 4 * m
@@ -201,11 +266,27 @@ def test_monte_carlo_rows_match_a_loop_over_the_public_functions(threads):
         assert (row.mean_f, row.se_f, row.mean_mv, row.se_mv, row.failures) == expected
 
 
-def test_monte_carlo_counts_singular_population_as_failures():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_counts_singular_population_as_failures(threads):
     # spectrum i^-10 at p=20 falls below the 1e-12 floor: samples can be
     # drawn, but no minimum-variance loss against sigma is defined
     spec = ModelSpec(kind=ModelKind.POWERLAW, p=20, alpha=10.0, seed=2)
     with pytest.raises(SingularMatrixError, match="sigma"):
         mv_loss(spec.build(), spec.build())
-    report = run_monte_carlo(spec, 40, 2, ["naive", "lp"], seed=1)
+    report = run_monte_carlo(spec, 40, 2, ["naive", "lp"], seed=1, threads=threads)
     assert all(row.failures == 2 for row in report.rows.values())
+
+
+def test_monte_carlo_builds_the_population_inverse_once_before_the_pool(monkeypatch):
+    builds = []
+    real = evaluation.floored_spectrum
+
+    def recording(*args, **kwargs):
+        builds.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "floored_spectrum", recording)
+    spec = ModelSpec(kind=ModelKind.BLOCK, p=8, block_sizes=(4, 4), gamma=0.3)
+    report = run_monte_carlo(spec, 20, 4, ["naive", "lp"], seed=2, threads=2)
+    assert all(row.failures == 0 for row in report.rows.values())
+    assert builds == [threading.main_thread()]
