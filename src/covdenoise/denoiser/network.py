@@ -7,6 +7,16 @@ linear conv, adds the block input, and applies a final ReLU; a linear head
 convolution returns to one channel.  In covariance mode the head output is
 symmetrized and eigenvalue-clamped so the result is a usable covariance
 matrix; in eigenvector mode it is returned raw.
+
+Every activation lives on the padded grid of :mod:`.ops` from the moment it
+is written until the backward pass is done with it.  The input batch is laid
+onto a grid once; each layer writes the next grid, with bias, residual and
+ReLU applied in place and the padding re-zeroed; only the head's one-channel
+output is cropped back to (batch, 1, p, p).  A training step keeps the input,
+stem and block grids; its backward pass reads them as they are, masks each
+gradient grid with its activation's ReLU pattern (which also zeroes the
+padding), and releases a block's grids once that block's gradients are
+formed.
 """
 
 from __future__ import annotations
@@ -19,7 +29,14 @@ from ..covariance import symmetrize
 from ..errors import NumericError, ParameterError
 from ..randomness import STREAM_INIT, generator
 from ..spectral import psd_project
-from .ops import _parameter_gradients, conv2d_backward, conv2d_same, relu
+from .ops import (
+    GridLayout,
+    _check_conv_shapes,
+    conv_layer,
+    conv_output,
+    input_gradient,
+    parameter_gradients,
+)
 
 MODES = ("covariance", "eigenvectors")
 
@@ -118,47 +135,60 @@ def init_weights(config: DenoiserConfig) -> DenoiserWeights:
 def forward_batch(weights: DenoiserWeights, x: np.ndarray, keep_cache: bool = False):
     """Raw network output for a (batch, 1, p, p) input in normalized units.
 
-    With ``keep_cache`` the per-layer inputs needed by :func:`backward_batch`
-    are returned alongside the output.
+    With ``keep_cache`` the input and activation grids needed by
+    :func:`backward_batch` are returned alongside the output.
     """
-    stem_out = relu(conv2d_same(x, weights.stem_kernel, weights.stem_bias))
-    activations = [stem_out]
+    x = np.asarray(x, dtype=float)
+    _check_conv_shapes(x, weights.stem_kernel)
+    batch, _, height, width = x.shape
+    layout = GridLayout(batch, height, width, weights.config.kernel // 2)
+    x_grid = layout.grid(x)
+    current = conv_layer(x_grid, weights.stem_kernel, weights.stem_bias, layout)
+    activations = [current]
     hidden: list[np.ndarray] = []
-    current = stem_out
     for block in weights.blocks:
-        h1 = relu(conv2d_same(current, block.conv1_kernel, block.conv1_bias))
-        z2 = conv2d_same(h1, block.conv2_kernel, block.conv2_bias)
-        current = relu(z2 + current)
+        h1 = conv_layer(current, block.conv1_kernel, block.conv1_bias, layout)
+        current = conv_layer(h1, block.conv2_kernel, block.conv2_bias, layout, residual=current)
         if keep_cache:
             hidden.append(h1)
             activations.append(current)
-    out = conv2d_same(current, weights.head_kernel, weights.head_bias)
+    out = conv_output(current, weights.head_kernel, weights.head_bias, layout)
     if keep_cache:
-        return out, (x, activations, hidden)
+        return out, (layout, x_grid, activations, hidden)
     return out
 
 
 def backward_batch(
     weights: DenoiserWeights, grad_out: np.ndarray, cache
 ) -> list[np.ndarray]:
-    """Parameter gradients in declaration order for a cached forward pass."""
-    x, activations, hidden = cache
-    grad, gk_head, gb_head = conv2d_backward(grad_out, activations[-1], weights.head_kernel)
-    grads = [gk_head, gb_head]
-    for index in range(len(weights.blocks) - 1, -1, -1):
-        block = weights.blocks[index]
-        block_in = activations[index]
-        block_out = activations[index + 1]
-        grad = grad * (block_out > 0.0)
-        grad_h1, gk2, gb2 = conv2d_backward(grad, hidden[index], block.conv2_kernel)
-        grad_h1 = grad_h1 * (hidden[index] > 0.0)
-        grad_in, gk1, gb1 = conv2d_backward(grad_h1, block_in, block.conv1_kernel)
+    """Parameter gradients in declaration order for a cached forward pass.
+
+    The cache is consumed: each block's grids are released once its
+    backward pass is done.
+    """
+    layout, x_grid, activations, hidden = cache
+    grad_grid = layout.grid(grad_out)
+    grads = list(parameter_gradients(grad_grid, activations[-1], layout))
+    grad = input_gradient(grad_grid, weights.head_kernel, layout)
+    del grad_grid
+    for block in reversed(weights.blocks):
+        # ReLU masks are zero at every padding position, so masking also
+        # clears the garbage an input gradient leaves there.
+        grad *= activations.pop() > 0.0
+        block_hidden = hidden.pop()
+        gk2, gb2 = parameter_gradients(grad, block_hidden, layout)
+        grad_h1 = input_gradient(grad, block.conv2_kernel, layout)
+        grad_h1 *= block_hidden > 0.0
+        del block_hidden
+        gk1, gb1 = parameter_gradients(grad_h1, activations[-1], layout)
+        grad_in = input_gradient(grad_h1, block.conv1_kernel, layout)
+        del grad_h1
+        grad_in += grad  # skip connection
+        grad = grad_in
         grads[:0] = (gk1, gb1, gk2, gb2)
-        grad = grad_in + grad  # skip connection
-    grad = grad * (activations[0] > 0.0)
+    grad *= activations.pop() > 0.0
     # the stem's input gradient would only reach the data, so it is not formed
-    _, gk_stem, gb_stem = _parameter_gradients(grad, x, weights.stem_kernel)
-    grads[:0] = (gk_stem, gb_stem)
+    grads[:0] = parameter_gradients(grad, x_grid, layout)
     return grads
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,16 @@ def solve_per_pivot(sigma):
         weights = np.clip(weights, 0.0, None)
         weights /= weights.sum()
     raise AssertionError("oracle hit its iteration cap")
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

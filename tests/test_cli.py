@@ -414,14 +414,21 @@ def test_simulate_rows_match_the_reference_loss(runner, tmp_path):
             assert abs(row[key] - expected) <= 1e-12 * abs(expected), (name, key)
 
 
+# The "0.2" digest was recorded when one-channel convolutions became one GEMM
+# each; test_loss_curve_stays_at_the_recorded_values bounds the move.
 GOLDEN_LOSS_CURVES = {
-    "0.2": "d671f580f4c8b565fb6d622f4bf7fa14c428c56118fa1404a06bca57498178f9",
+    "0.2": "5db4d322db8ccde46eb285969093601546b5ed7748e19e06641011a19bec5f38",
     "0": "fea9a16b6605871fbe7c06c14b2dcec4ee962b3b1c0f924f2cfcc95eac350e54",
 }
 
+# (train_mse, validation_mse) per epoch, as written before that change.
+RECORDED_LOSS_CURVES = {
+    "0.2": [(1.9280390937032668, 0.5725589920157329), (1.7600683043598977, 0.5386578251491206)],
+    "0": [(1.8483603581290813, None), (1.694990557742452, None)],
+}
 
-@pytest.mark.parametrize("fraction", ["0.2", "0"])
-def test_loss_curve_keeps_its_bytes(runner, tmp_path, fraction):
+
+def _train_loss_curve(runner, tmp_path, fraction):
     curve = tmp_path / "loss_curve.csv"
     result = runner.invoke(
         cli,
@@ -431,6 +438,25 @@ def test_loss_curve_keeps_its_bytes(runner, tmp_path, fraction):
          "--loss-curve-out", str(curve)],
     )
     assert result.exit_code == 0, result.output
+    return curve
+
+
+@pytest.mark.parametrize("fraction", ["0.2", "0"])
+def test_loss_curve_stays_at_the_recorded_values(runner, tmp_path, fraction):
+    rows = _train_loss_curve(runner, tmp_path, fraction).read_text().splitlines()[1:]
+    assert len(rows) == len(RECORDED_LOSS_CURVES[fraction])
+    for row, recorded in zip(rows, RECORDED_LOSS_CURVES[fraction]):
+        _, *values = row.split(",")
+        for value, expected in zip(values, recorded):
+            if expected is None:
+                assert value == ""
+            else:
+                assert abs(float(value) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("fraction", ["0.2", "0"])
+def test_loss_curve_keeps_its_bytes(runner, tmp_path, fraction):
+    curve = _train_loss_curve(runner, tmp_path, fraction)
     rows = curve.read_text().splitlines()
     assert len(rows) == 3 and all(row.endswith(",") == (fraction == "0") for row in rows[1:])
     assert _digests(tmp_path, ["loss_curve.csv"]) == {"loss_curve.csv": GOLDEN_LOSS_CURVES[fraction]}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from covdenoise.denoiser import (
     DenoiserConfig,
+    conv2d_backward,
     conv2d_same,
     forward,
     forward_batch,
@@ -124,3 +126,90 @@ def test_training_step_skips_the_stem_input_gradient(rng, monkeypatch, num_block
     x = rng.standard_normal((2, 1, 4, 4))
     loss_and_gradients(weights, x, rng.standard_normal(x.shape))
     assert len(calls) == 4 * num_blocks + 3
+    stem_rotated = weights.stem_kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    assert not any(np.array_equal(kernel, stem_rotated) for _, kernel, *_ in calls)
+
+
+def reference_loss_and_gradients(weights, inputs, targets):
+    """Per-layer composition through the public (B, C, H, W) convolutions:
+    each layer convolves, crops, then applies ReLU, and backward rebuilds
+    every grid from the cached arrays."""
+    stem = relu(conv2d_same(inputs, weights.stem_kernel, weights.stem_bias))
+    activations, hidden = [stem], []
+    for block in weights.blocks:
+        hidden.append(relu(conv2d_same(activations[-1], block.conv1_kernel, block.conv1_bias)))
+        z2 = conv2d_same(hidden[-1], block.conv2_kernel, block.conv2_bias)
+        activations.append(relu(z2 + activations[-1]))
+    out = conv2d_same(activations[-1], weights.head_kernel, weights.head_bias)
+    diff = out - targets
+    grad, gk_head, gb_head = conv2d_backward(2.0 * diff / diff.size, activations[-1],
+                                             weights.head_kernel)
+    grads = [gk_head, gb_head]
+    for index in range(len(weights.blocks) - 1, -1, -1):
+        block = weights.blocks[index]
+        grad = grad * (activations[index + 1] > 0.0)
+        grad_h1, gk2, gb2 = conv2d_backward(grad, hidden[index], block.conv2_kernel)
+        grad_h1 = grad_h1 * (hidden[index] > 0.0)
+        grad_in, gk1, gb1 = conv2d_backward(grad_h1, activations[index], block.conv1_kernel)
+        grads[:0] = (gk1, gb1, gk2, gb2)
+        grad = grad_in + grad
+    grad = grad * (activations[0] > 0.0)
+    _, gk_stem, gb_stem = conv2d_backward(grad, inputs, weights.stem_kernel)
+    return out, float(np.mean(diff * diff)), [gk_stem, gb_stem] + grads
+
+
+def _close(actual, expected, rtol=1e-12):
+    # an all-zero reference must be matched exactly
+    return np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "overrides,batch",
+    [
+        (dict(kernel=1), 2),
+        (dict(kernel=3), 2),
+        (dict(kernel=5), 2),
+        (dict(num_blocks=2), 1),
+        (dict(input_size=1, kernel=5), 3),
+        (dict(num_filters=1, num_blocks=2), 2),  # every conv has one channel each side
+        (dict(num_blocks=2, zero_block=0), 2),  # first residual block's convs are zero
+    ],
+)
+def test_grid_network_matches_the_per_layer_oracle(rng, overrides, batch):
+    overrides = dict(overrides)
+    zero_block = overrides.pop("zero_block", None)
+    config = tiny_config(**{"input_size": 5, "num_filters": 3, **overrides})
+    weights = init_weights(config)
+    for tensor in weights.tensors():
+        if tensor.ndim == 1:  # nonzero biases, so ReLU masks are exercised at both signs
+            tensor[...] = 0.1 * rng.standard_normal(tensor.shape)
+    if zero_block is not None:
+        for tensor in weights.tensors()[2 + 4 * zero_block:6 + 4 * zero_block]:
+            tensor[...] = 0.0
+    p = config.input_size
+    x = rng.standard_normal((batch, 1, p, p))
+    targets = rng.standard_normal(x.shape)
+    expected_out, expected_loss, expected_grads = reference_loss_and_gradients(weights, x, targets)
+    assert _close(forward_batch(weights, x), expected_out)
+    loss, grads = loss_and_gradients(weights, x, targets)
+    assert abs(loss - expected_loss) <= 1e-12 * expected_loss
+    assert len(grads) == len(expected_grads)
+    for actual, expected in zip(grads, expected_grads):
+        assert actual.shape == expected.shape
+        assert _close(actual, expected)
+
+
+@pytest.mark.parametrize("num_blocks,bound", [(1, 7.0), (3, 12.0)])
+def test_training_step_peak_memory(rng, num_blocks, bound):
+    # In units of one (B, C, p, p) activation.  Rebuilding each layer's padded
+    # grids in every convolution, forward and backward, peaks at 8.7 (one
+    # block) and 13.9 (three blocks); activations kept on their grids and
+    # released block by block peak at 6.0 and 10.5.
+    config = DenoiserConfig(input_size=40, num_blocks=num_blocks, num_filters=16, seed=1,
+                            mode="eigenvectors")
+    weights = init_weights(config)
+    x = rng.standard_normal((2, 1, 40, 40))
+    targets = rng.standard_normal(x.shape)
+    activation = 2 * 16 * 40 * 40 * 8
+    peak = traced_peak(lambda: loss_and_gradients(weights, x, targets))
+    assert peak <= bound * activation

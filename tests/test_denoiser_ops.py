@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from covdenoise.denoiser import conv2d_backward, conv2d_same
 from covdenoise.errors import ParameterError
@@ -93,15 +92,6 @@ def test_matches_im2col_oracle(rng, k, batch, in_ch, out_ch, height, width):
         assert relative_error(actual, expected) <= 1e-12
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_conv_peak_memory_stays_near_input_size(rng):
     # A column buffer alone is k*k times the input: the im2col version peaks
     # at about 11x (forward) and 19x (backward) here.
@@ -109,8 +99,8 @@ def test_conv_peak_memory_stays_near_input_size(rng):
     kernel = rng.standard_normal((16, 16, 3, 3))
     bias = rng.standard_normal(16)
     upstream = rng.standard_normal(x.shape)
-    assert _traced_peak(lambda: conv2d_same(x, kernel, bias)) <= 4 * x.nbytes
-    assert _traced_peak(lambda: conv2d_backward(upstream, x, kernel)) <= 4 * x.nbytes
+    assert traced_peak(lambda: conv2d_same(x, kernel, bias)) <= 4 * x.nbytes
+    assert traced_peak(lambda: conv2d_backward(upstream, x, kernel)) <= 4 * x.nbytes
 
 
 def test_identity_kernel_passthrough():
