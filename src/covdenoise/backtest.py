@@ -1,6 +1,11 @@
 """Walk-forward (rolling-window) backtesting: estimate in-sample, allocate
 long-only minimum variance, hold out-of-sample, rebalance, aggregate metrics.
 
+One calendar serves every strategy: ``t_out`` must equal ``delta_t``, so the
+holds from the first date on or after ``split_date`` run back to back, never
+overlapping, until fewer than ``t_out`` days are left.  Buy-and-hold is one
+hold over exactly those days.
+
 Weights drift with prices inside each hold period (no daily renormalization);
 turnover is measured between the drifted weights and the next target
 allocation.  Nothing after a rebalance boundary ever enters that rebalance's
@@ -13,6 +18,7 @@ the package's BLAS rule, stated in :mod:`covdenoise._blas`.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,7 +31,7 @@ from .atomic import atomic_write
 from .covariance import CovarianceMatrix, window_covariance
 from .errors import CovDenoiseError, ParameterError
 from .estimators import make_estimator, network_mode
-from .ingest import ReturnsPanel, write_dated_table
+from .ingest import ReturnsPanel, is_iso_date, write_dated_table
 from .portfolio import PerformanceMetrics, WeightVector, mvp_plus_weights, portfolio_metrics
 from .spectral import cov_to_corr, invert_permutation, spectral_seriation
 
@@ -45,11 +51,14 @@ class WalkForwardConfig:
     train_stride: int = 1
     pre_history_days: int = 282
     seriation_per_window: bool = True
-    periods_per_year: int = 365
 
     def __post_init__(self) -> None:
+        if not is_iso_date(self.split_date):
+            raise ParameterError(f"split date {self.split_date!r} is not a valid YYYY-MM-DD date")
         if self.t_in < 2 or self.t_out < 2 or self.delta_t < 2:
             raise ParameterError("t_in, t_out and delta_t must all be >= 2")
+        if self.delta_t != self.t_out:
+            raise ParameterError(f"delta_t ({self.delta_t}) must equal t_out ({self.t_out})")
         mode = network_mode(self.estimator)
         if self.return_mode not in RETURN_MODES:
             raise ParameterError(f"return_mode must be one of {RETURN_MODES}")
@@ -70,19 +79,18 @@ class BacktestReport:
     diagnostics: list[dict] = field(default_factory=list)
 
 
-def _split_index(panel: ReturnsPanel, split_date: str) -> int:
-    for index, date in enumerate(panel.dates):
-        if date >= split_date:
-            return index
-    raise ParameterError(f"split date {split_date} is after the panel's last date")
-
-
-def _rebalance_count(available: int, t_out: int, delta_t: int) -> int:
+def _rebalance_boundaries(panel: ReturnsPanel, split_date: str, t_out: int) -> range:
+    """Panel indices of the rebalances: the first date on or after
+    ``split_date``, then every ``t_out`` days while a full hold remains."""
+    split = bisect.bisect_left(panel.dates, split_date)
+    if split == panel.n_dates:
+        raise ParameterError(f"split date {split_date} is after the panel's last date")
+    available = panel.n_dates - split
     if available < t_out:
         raise ParameterError(
             f"only {available} out-of-sample days available but one window needs {t_out}"
         )
-    return (available - t_out) // delta_t + 1
+    return range(split, panel.n_dates - t_out + 1, t_out)
 
 
 def _hold_period(
@@ -120,47 +128,39 @@ def _train_window_weights(config: WalkForwardConfig, mode: str, training_block: 
 
 def _rebalance_loop(
     panel: ReturnsPanel,
-    config: WalkForwardConfig,
-    split: int,
+    boundaries: range,
+    hold_days: int,
+    return_mode: str,
     allocate: Callable[[int, int], tuple[WeightVector, dict]],
 ) -> BacktestReport:
-    """Rebalance at every ``delta_t`` days from ``split``, hold each target
-    ``allocate(window, boundary)`` for ``t_out`` days, and aggregate."""
-    count = _rebalance_count(panel.n_dates - split, config.t_out, config.delta_t)
+    """Hold the target ``allocate(window, boundary)`` for ``hold_days`` days
+    from each boundary (holds run back to back) and aggregate."""
     weight_history: list[WeightVector] = []
     pre_rebalance: list[np.ndarray] = []
-    rebalance_dates: list[str] = []
     daily_returns: list[np.ndarray] = []
-    daily_dates: list[str] = []
     diagnostics: list[dict] = []
     drifted: np.ndarray | None = None
 
-    for k in range(count):
-        boundary = split + k * config.delta_t
+    for k, boundary in enumerate(boundaries):
         allocation, window_diag = allocate(k, boundary)
         if drifted is not None:
             pre_rebalance.append(drifted)
         weight_history.append(allocation)
-        rebalance_dates.append(panel.dates[boundary])
 
-        hold = panel.values[:, boundary:boundary + config.t_out]
+        hold = panel.values[:, boundary:boundary + hold_days]
         with single_blas_thread():
-            returns, drifted = _hold_period(allocation.weights, hold, config.return_mode)
+            returns, drifted = _hold_period(allocation.weights, hold, return_mode)
         daily_returns.append(returns)
-        daily_dates.extend(panel.dates[boundary:boundary + config.t_out])
         diagnostics.append(window_diag)
 
     series = np.concatenate(daily_returns)
     metrics = portfolio_metrics(
-        series,
-        [w.weights for w in weight_history],
-        config.periods_per_year,
-        pre_rebalance_weights=pre_rebalance,
+        series, [w.weights for w in weight_history], pre_rebalance_weights=pre_rebalance
     )
     return BacktestReport(
-        rebalance_dates=rebalance_dates,
+        rebalance_dates=[panel.dates[boundary] for boundary in boundaries],
         weight_history=weight_history,
-        daily_dates=daily_dates,
+        daily_dates=list(panel.dates[boundaries[0]:boundaries[-1] + hold_days]),
         daily_returns=series,
         metrics=metrics,
         symbols=panel.symbols,
@@ -170,7 +170,8 @@ def _rebalance_loop(
 
 def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestReport:
     """Run the rolling estimate/allocate/hold loop over the panel."""
-    split = _split_index(panel, config.split_date)
+    boundaries = _rebalance_boundaries(panel, config.split_date, config.t_out)
+    split = boundaries[0]
     mode = network_mode(config.estimator)
     history_needed = config.t_in + (config.pre_history_days if mode else 0)
     if split < history_needed:
@@ -220,41 +221,31 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
                 estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
             return mvp_plus_weights(estimate), window_diag
 
-    return _rebalance_loop(panel, config, split, allocate)
+    return _rebalance_loop(panel, boundaries, config.t_out, config.return_mode, allocate)
 
 
 def buy_and_hold(panel: ReturnsPanel, symbol: str, config: WalkForwardConfig) -> BacktestReport:
-    """Hold one asset over the same span the walk-forward engine would trade."""
+    """Hold one asset, bought once, over the days the walk-forward engine trades."""
     if symbol not in panel.symbols:
         raise ParameterError(f"unknown symbol {symbol!r}")
-    split = _split_index(panel, config.split_date)
-    count = _rebalance_count(panel.n_dates - split, config.t_out, config.delta_t)
-    horizon = (count - 1) * config.delta_t + config.t_out
-    column = panel.symbols.index(symbol)
-    window = panel.values[column, split:split + horizon]
-    returns = np.exp(window) - 1.0
+    boundaries = _rebalance_boundaries(panel, config.split_date, config.t_out)
     weights = np.zeros(len(panel.symbols))
-    weights[column] = 1.0
-    allocation = WeightVector(weights, long_only=True)
-    metrics = portfolio_metrics(returns, [weights], config.periods_per_year)
-    return BacktestReport(
-        rebalance_dates=[panel.dates[split]],
-        weight_history=[allocation],
-        daily_dates=list(panel.dates[split:split + horizon]),
-        daily_returns=returns,
-        metrics=metrics,
-        symbols=panel.symbols,
-        diagnostics=[{"window": 0, "date": panel.dates[split], "symbol": symbol}],
+    weights[panel.symbols.index(symbol)] = 1.0
+    entry = {"window": 0, "date": panel.dates[boundaries[0]], "symbol": symbol}
+    return _rebalance_loop(
+        panel, boundaries[:1], len(boundaries) * config.t_out, config.return_mode,
+        lambda k, boundary: (WeightVector(weights, long_only=True), entry),
     )
 
 
 def uniform_portfolio(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestReport:
     """Equal-weight allocation re-established at every rebalance."""
-    split = _split_index(panel, config.split_date)
+    boundaries = _rebalance_boundaries(panel, config.split_date, config.t_out)
     p = len(panel.symbols)
     uniform = np.full(p, 1.0 / p)
     report = _rebalance_loop(
-        panel, config, split, lambda k, boundary: (WeightVector(uniform, long_only=True), {})
+        panel, boundaries, config.t_out, config.return_mode,
+        lambda k, boundary: (WeightVector(uniform, long_only=True), {}),
     )
     # reset-per-rebalance turnover (used in metrics) next to the target-vs-target view
     report.diagnostics = [

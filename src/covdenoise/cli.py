@@ -13,7 +13,6 @@ from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .atomic import atomic_write
 from .backtest import (
@@ -34,10 +33,9 @@ from .denoiser.network import MODES
 from .errors import DataError, NumericError, ParameterError
 from .estimators import ESTIMATOR_NAMES, network_mode
 from .evaluation import run_monte_carlo
-from .hierarchy import Merge, linkage
+from .hierarchy import Merge, correlation_distance, linkage
 from .ingest import (
     clean_panel_report,
-    is_iso_date,
     load_prices,
     load_returns,
     log_returns,
@@ -96,13 +94,6 @@ def _apply_config(ctx: click.Context, options: dict) -> dict:
         if ctx.get_parameter_source(name) is click.core.ParameterSource.DEFAULT:
             options[name] = by_name[name].type.convert(raw, by_name[name], ctx)
     return options
-
-
-def _split_date(value: str) -> str:
-    """The value itself when it is a real date written as YYYY-MM-DD."""
-    if not is_iso_date(value):
-        raise click.UsageError(f"--split-date {value!r} is not a valid YYYY-MM-DD date")
-    return value
 
 
 def _model_spec(options: dict) -> ModelSpec:
@@ -229,9 +220,7 @@ def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
     eigenvalues = eigendecompose_sym(sigma).eigenvalues.tolist()
     write_table(out / "scree.csv", ("rank", "eigenvalue"), enumerate(eigenvalues, start=1))
     corr, _ = cov_to_corr(sigma)
-    distance = 1.0 - corr
-    np.fill_diagonal(distance, 0.0)
-    merges = linkage(distance, "single")
+    merges = linkage(correlation_distance(corr), "single")
     header = [column.name for column in fields(Merge)]
     write_table(out / "dendrogram.csv", header, map(astuple, merges))
 
@@ -336,8 +325,10 @@ def train_command(ctx: click.Context, **options) -> None:
 @click.option("--symbol", type=str, default=None, help="Asset for buy-and-hold.")
 @click.option("--split-date", type=str, required=True, help="First out-of-sample date (ISO).")
 @click.option("--t-in", type=int, default=182, show_default=True)
-@click.option("--t-out", type=int, default=182, show_default=True)
-@click.option("--delta-t", type=int, default=182, show_default=True)
+@click.option("--t-out", type=int, default=182, show_default=True,
+              help="Days each allocation is held; must equal --delta-t.")
+@click.option("--delta-t", type=int, default=182, show_default=True,
+              help="Days between rebalances; must equal --t-out, so holds run back to back.")
 @click.option("--pre-history", type=int, default=282, show_default=True)
 @click.option("--train-count", type=int, default=100, show_default=True)
 @click.option("--train-stride", type=int, default=1, show_default=True)
@@ -355,11 +346,10 @@ def train_command(ctx: click.Context, **options) -> None:
 def backtest_command(ctx: click.Context, **options) -> None:
     """Walk-forward backtest of a covariance estimator (or a benchmark)."""
     options = _apply_config(ctx, options)
-    split_date = _split_date(options["split_date"])
     panel = load_returns(options["returns_path"])
     needs_net = network_mode(options["estimator"]) is not None
     config = WalkForwardConfig(
-        split_date=split_date,
+        split_date=options["split_date"],
         estimator=options["estimator"],
         t_in=options["t_in"],
         t_out=options["t_out"],

@@ -61,15 +61,11 @@ def _match_eigenvector_targets(target_vectors: np.ndarray, input_vectors: np.nda
     overlap = np.abs(target_vectors.T @ input_vectors)
     p = overlap.shape[0]
     matched = np.empty_like(target_vectors)
-    used_targets = np.zeros(p, dtype=bool)
-    used_inputs = np.zeros(p, dtype=bool)
     work = overlap.copy()
     for _ in range(p):
         flat = int(np.argmax(work))
         t_idx, i_idx = divmod(flat, p)
         matched[:, i_idx] = target_vectors[:, t_idx]
-        used_targets[t_idx] = True
-        used_inputs[i_idx] = True
         work[t_idx, :] = -1.0
         work[:, i_idx] = -1.0
     return apply_sign_convention(matched)

@@ -25,8 +25,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .covariance import CovarianceMatrix, symmetrize
-from .errors import DataError, ParameterError
-from .hierarchy import cophenetic_matrix, linkage
+from .errors import ParameterError
+from .hierarchy import cophenetic_matrix, correlation_distance, linkage
 from .spectral import corr_to_cov, cov_to_corr, eigendecompose_sym
 
 
@@ -83,12 +83,7 @@ def estimate_lp(s: CovarianceMatrix, n: int) -> CovarianceMatrix:
 
 def filter_correlation(corr: np.ndarray) -> np.ndarray:
     """Replace a correlation matrix by its average-linkage cophenetic filtrate."""
-    overshoot = np.max(np.abs(corr)) - 1.0
-    if overshoot > 1e-10:
-        raise DataError(f"invalid correlation: |C_ij| exceeds 1 by {overshoot:.3e}")
-    distance = 1.0 - np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(distance, 0.0)
-    coph = cophenetic_matrix(linkage(distance, "average"), corr.shape[0])
+    coph = cophenetic_matrix(linkage(correlation_distance(corr), "average"), corr.shape[0])
     filtered = 1.0 - coph
     np.fill_diagonal(filtered, 1.0)
     return filtered

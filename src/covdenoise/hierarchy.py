@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 _METHODS = ("average", "single")
 
@@ -33,6 +33,17 @@ class Merge:
     right: int
     height: float
     size: int
+
+
+def correlation_distance(corr: np.ndarray) -> np.ndarray:
+    """The distance 1 − C_ij with a zero diagonal.  Entries past ±1 by rounding
+    are clipped; past it by more than 1e-10 they raise :class:`DataError`."""
+    overshoot = np.max(np.abs(corr)) - 1.0
+    if overshoot > 1e-10:
+        raise DataError(f"invalid correlation: |C_ij| exceeds 1 by {overshoot:.3e}")
+    distance = 1.0 - np.clip(corr, -1.0, 1.0)
+    np.fill_diagonal(distance, 0.0)
+    return distance
 
 
 def linkage(distance: np.ndarray, method: str = "average") -> list[Merge]:

@@ -16,6 +16,8 @@ BUDGET_TOL = 1e-8
 KKT_TOL = 1e-8
 # relative residual past which the long-only QP inverts its free block afresh
 REFACTOR_TOL = 1e-12
+# the crypto calendar: these markets trade every day, so a year is 365 daily returns
+DAYS_PER_YEAR = 365
 
 
 @dataclass(frozen=True)
@@ -198,13 +200,12 @@ _REPORTED_METRICS = tuple(
 def portfolio_metrics(
     daily_returns: np.ndarray,
     weight_history: list[np.ndarray],
-    periods_per_year: int = 365,
     pre_rebalance_weights: list[np.ndarray] | None = None,
 ) -> PerformanceMetrics:
     """Summary statistics of a daily simple-return series.
 
     Annual return compounds the geometric mean daily return to a year of
-    ``periods_per_year`` periods; volatility scales the daily deviation by
+    :data:`DAYS_PER_YEAR` days; volatility scales the daily deviation by
     its square root.  Turnover averages the L1 weight change over rebalances
     after the initial allocation; when ``pre_rebalance_weights`` is given
     (weights drifted to just before each rebalance) those are used as the
@@ -217,9 +218,9 @@ def portfolio_metrics(
         raise ParameterError("weight history must contain the initial allocation")
     wealth = np.cumprod(1.0 + returns)
     cumulative = float(wealth[-1])
-    annual_return = cumulative ** (periods_per_year / returns.size) - 1.0
+    annual_return = cumulative ** (DAYS_PER_YEAR / returns.size) - 1.0
     deviation = float(returns.std(ddof=1)) if returns.size > 1 else 0.0
-    annual_volatility = deviation * np.sqrt(periods_per_year)
+    annual_volatility = deviation * np.sqrt(DAYS_PER_YEAR)
     zero_volatility = annual_volatility == 0.0
     sharpe = 0.0 if zero_volatility else annual_return / annual_volatility
     drawdown = float(np.min(wealth / np.maximum.accumulate(wealth) - 1.0))

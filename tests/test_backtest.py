@@ -13,6 +13,7 @@ from covdenoise import (
     WalkForwardConfig,
     buy_and_hold,
     mvp_plus_weights,
+    portfolio_metrics,
     WeightVector,
     uniform_portfolio,
     walk_forward,
@@ -53,7 +54,37 @@ def test_rebalance_count_and_budget(rng):
     [(1360, 182, 182, 7), (200, 30, 30, 6), (30, 30, 30, 1), (59, 30, 30, 1), (60, 30, 30, 2)],
 )
 def test_rebalance_count_formula(available, t_out, delta, expected):
-    assert backtest._rebalance_count(available, t_out, delta) == expected
+    panel = make_panel(np.zeros((1, available)))
+    boundaries = backtest._rebalance_boundaries(panel, panel.dates[0], t_out)
+    assert len(boundaries) == expected
+    assert boundaries[0] == 0
+    assert expected == 1 or boundaries.step == delta
+
+
+@pytest.mark.parametrize("t_out, delta_t", [(30, 25), (25, 30)])
+def test_hold_length_must_equal_the_rebalance_step(t_out, delta_t):
+    with pytest.raises(ParameterError, match=rf"delta_t \({delta_t}\).*t_out \({t_out}\)"):
+        WalkForwardConfig(split_date="2023-03-01", t_out=t_out, delta_t=delta_t)
+
+
+# "2023-04-1" sorts between 2023-04-09 and 2023-04-10, so a string search
+# would start trading nine days late
+@pytest.mark.parametrize("value", ["2023-04-1", "20230401", "2023-02-30"])
+def test_split_date_must_be_an_iso_date(value):
+    with pytest.raises(ParameterError, match=f"split date {value!r} is not a valid YYYY-MM-DD"):
+        WalkForwardConfig(split_date=value, t_in=5, t_out=10, delta_t=10)
+
+
+def test_split_date_between_panel_dates_rebalances_on_the_next_date():
+    panel = make_panel(np.zeros((1, 90)))
+    gapped = ReturnsPanel(panel.dates[::2], panel.symbols, panel.values[:, ::2])
+    boundaries = backtest._rebalance_boundaries(gapped, panel.dates[19], 10)
+    assert list(boundaries) == [10, 20, 30]
+    assert gapped.dates[10] == panel.dates[20]
+    with pytest.raises(ParameterError, match="after the panel's last date"):
+        backtest._rebalance_boundaries(panel, "2023-04-01", 20)
+    with pytest.raises(ParameterError, match="only 15 out-of-sample days"):
+        backtest._rebalance_boundaries(panel, panel.dates[75], 20)
 
 
 def test_paper_shaped_calendar_gives_seven_rebalances(rng):
@@ -176,6 +207,65 @@ def test_buy_and_hold_flat_and_scaled_paths():
     grown = make_panel(lifted)
     report = buy_and_hold(grown, "A0", config)
     assert np.isclose(report.metrics.cumulative_return, 1.4)
+
+
+def reference_buy_and_hold(panel, symbol, config):
+    """buy_and_hold with its own horizon, returns and metrics, as it was
+    before it ran through the rebalance loop."""
+    if symbol not in panel.symbols:
+        raise ParameterError(f"unknown symbol {symbol!r}")
+    split = next(i for i, date in enumerate(panel.dates) if date >= config.split_date)
+    count = (panel.n_dates - split - config.t_out) // config.delta_t + 1
+    horizon = (count - 1) * config.delta_t + config.t_out
+    column = panel.symbols.index(symbol)
+    returns = np.exp(panel.values[column, split:split + horizon]) - 1.0
+    weights = np.zeros(len(panel.symbols))
+    weights[column] = 1.0
+    return backtest.BacktestReport(
+        rebalance_dates=[panel.dates[split]],
+        weight_history=[WeightVector(weights, long_only=True)],
+        daily_dates=list(panel.dates[split:split + horizon]),
+        daily_returns=returns,
+        metrics=portfolio_metrics(returns, [weights]),
+        symbols=panel.symbols,
+        diagnostics=[{"window": 0, "date": panel.dates[split], "symbol": symbol}],
+    )
+
+
+@pytest.mark.parametrize("return_mode", backtest.RETURN_MODES)
+def test_buy_and_hold_matches_the_reference(return_mode):
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        p = int(rng.integers(1, 7))
+        days = int(rng.integers(60, 400))
+        hold = int(rng.integers(2, 60))
+        split = int(rng.integers(0, days - hold + 1))
+        panel = iid_panel(rng, p, days, scale=float(rng.uniform(0.005, 0.08)))
+        symbol = panel.symbols[int(rng.integers(p))]
+        config = WalkForwardConfig(split_date=panel.dates[split], t_out=hold, delta_t=hold,
+                                   return_mode=return_mode)
+        report = buy_and_hold(panel, symbol, config)
+        expected = reference_buy_and_hold(panel, symbol, config)
+        assert report.rebalance_dates == expected.rebalance_dates
+        assert report.daily_dates == expected.daily_dates
+        assert np.array_equal(report.daily_returns, expected.daily_returns)
+        assert len(report.weight_history) == 1
+        assert np.array_equal(report.weight_history[0].weights, expected.weight_history[0].weights)
+        assert report.metrics == expected.metrics
+        assert report.metrics.to_json_text() == expected.metrics.to_json_text()
+        assert report.diagnostics == expected.diagnostics
+        assert report.symbols == expected.symbols
+
+
+@pytest.mark.parametrize("split, hold", [(40, 20), (50, 30), (45, 7)])
+def test_buy_and_hold_covers_the_walk_forward_days(rng, split, hold):
+    panel = iid_panel(rng, 3, 163)
+    config = WalkForwardConfig(split_date=panel.dates[split], t_in=30, t_out=hold, delta_t=hold)
+    held = buy_and_hold(panel, "A2", config)
+    traded = walk_forward(panel, config)
+    assert held.daily_dates == traded.daily_dates
+    assert held.rebalance_dates == traded.rebalance_dates[:1]
+    assert len(set(traded.daily_dates)) == len(traded.daily_dates)
 
 
 def test_uniform_single_asset_equals_buy_and_hold(rng):
@@ -326,7 +416,7 @@ def test_estimator_failure_names_window(rng, monkeypatch):
 
 def test_uniform_shares_the_walk_forward_calendar(rng):
     panel = iid_panel(rng, 3, 200)
-    config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=30, delta_t=25)
+    config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=25, delta_t=25)
     uniform = uniform_portfolio(panel, config)
     naive = walk_forward(panel, config)
     assert uniform.rebalance_dates == naive.rebalance_dates

@@ -265,6 +265,27 @@ def test_backtest_requires_symbol_for_buy_and_hold(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    [["estimator"], ["uniform"], ["buy-and-hold", "--symbol", "C00"]],
+    ids=["estimator", "uniform", "buy-and-hold"],
+)
+@pytest.mark.parametrize("t_out, delta_t", [("30", "25"), ("25", "30")])
+def test_backtest_rejects_a_hold_unequal_to_the_rebalance_step(
+    runner, tmp_path, strategy, t_out, delta_t
+):
+    returns = _returns_csv(tmp_path, runner)
+    result = runner.invoke(
+        cli,
+        ["backtest", "--returns", str(returns), "--split-date", "2023-04-01",
+         "--t-in", "30", "--t-out", t_out, "--delta-t", delta_t, "--strategy", *strategy,
+         "--out-dir", str(tmp_path / "bt")],
+    )
+    assert result.exit_code == 2
+    assert f"delta_t ({delta_t}) must equal t_out ({t_out})" in result.output
+    assert not (tmp_path / "bt").exists()
+
+
 # "2023-04-1" sorts between the panel's 2023-04-09 and 2023-04-10, so a raw
 # string comparison would silently split on the wrong day
 @pytest.mark.parametrize(

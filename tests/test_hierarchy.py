@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covdenoise import ModelKind, ModelSpec, sample_covariance
-from covdenoise.errors import ParameterError
+from covdenoise import ModelKind, ModelSpec, hierarchy, sample_covariance
+from covdenoise.errors import DataError, ParameterError
+from covdenoise.estimators import filter_correlation
 from covdenoise.hierarchy import Merge, cophenetic_matrix, linkage
 from covdenoise.spectral import cov_to_corr
 
@@ -278,3 +279,13 @@ def test_linkage_rejects_distances_whose_update_overflows():
     np.fill_diagonal(distance, 0.0)
     with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflowed"):
         linkage(distance, "average")
+
+
+def test_correlation_distance_clips_rounding_and_rejects_overshoot():
+    corr = np.array([[1.0, 1.0 + 1e-12, -0.5], [1.0 + 1e-12, 1.0, 0.2], [-0.5, 0.2, 1.0]])
+    distance = hierarchy.correlation_distance(corr)
+    assert np.array_equal(distance, [[0.0, 0.0, 1.5], [0.0, 0.0, 0.8], [1.5, 0.8, 0.0]])
+    corr[0, 2] = corr[2, 0] = -1.0 - 1e-6
+    for rule in (hierarchy.correlation_distance, filter_correlation):
+        with pytest.raises(DataError, match="exceeds 1 by 1.000e-06"):
+            rule(corr)
