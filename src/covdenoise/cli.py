@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration/usage problems, 3 numeric failures.
 Every output file is written atomically (temp file + rename).  A flat
-``key=value`` config file can pre-set any option of a command; explicit
-flags always win over the file, which wins over built-in defaults.
+``key=value`` config file can pre-set any option of a command; it fills
+click's ``default_map``, so explicit flags win over the file, which wins over
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import click
 
 from .atomic import atomic_write
 from .backtest import (
+    RETURN_MODES,
     WalkForwardConfig,
     buy_and_hold,
     uniform_portfolio,
@@ -50,57 +52,81 @@ from .spectral import cov_to_corr, eigendecompose_sym
 DEFAULT_BLOCK_SIZES = "3,3,4,5,6,7,7,9,11,13,15,17"
 
 
-def _numeric_failure(message: str) -> click.ClickException:
-    failure = click.ClickException(message)
-    failure.exit_code = 3
-    return failure
+def _load_config(ctx: click.Context, _param: click.Parameter, path: str | None) -> None:
+    """Read a flat key=value file into ``ctx.default_map``.
 
-
-def _guarded(fn):
-    """Map package errors to the documented exit codes."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ParameterError, DataError) as exc:
-            raise click.UsageError(str(exc)) from exc
-        except NumericError as exc:
-            raise _numeric_failure(str(exc)) from exc
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-def _apply_config(ctx: click.Context, options: dict) -> dict:
-    """Overlay key=value file entries onto options still at their defaults."""
-    config_path = options.get("config")
-    if not config_path:
-        return options
+    A key is an option's flag name without dashes, spelled with ``-`` or
+    ``_``, or its parameter name.  Click then reads a value from the command
+    line first, then from the file, then the default.
+    """
+    if path is None:
+        return
+    names = {
+        spelling.replace("-", "_"): param.name
+        for param in ctx.command.params if param.name != "config"
+        for spelling in (param.name, *(opt.lstrip("-") for opt in param.opts))
+    }
     entries: dict[str, str] = {}
-    for number, line in enumerate(Path(config_path).read_text().splitlines(), start=1):
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         key, sep, value = text.partition("=")
+        key = key.strip()
         if not sep:
-            raise click.UsageError(f"{config_path}:{number}: expected key=value, got {line!r}")
-        entries[key.strip()] = value.strip()
-    by_name = {param.name: param for param in ctx.command.params}
-    for key, raw in entries.items():
-        name = key.replace("-", "_")
-        if name == "config" or name not in by_name:
-            raise click.UsageError(f"{config_path}: unknown config key {key!r}")
-        if ctx.get_parameter_source(name) is click.core.ParameterSource.DEFAULT:
-            options[name] = by_name[name].type.convert(raw, by_name[name], ctx)
-    return options
+            raise click.UsageError(f"{path}:{number}: expected key=value, got {line!r}", ctx)
+        name = names.get(key.replace("-", "_"))
+        if name is None:
+            raise click.UsageError(f"{path}: unknown config key {key!r}", ctx)
+        if name in entries:
+            raise click.UsageError(f"{path}:{number}: repeated config key {key!r}", ctx)
+        entries[name] = value.strip()
+    ctx.default_map = entries
+
+
+class _Command(click.Command):
+    """A command with ``--config``, mapping package errors to the exit codes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(
+            ["--config"], type=click.Path(exists=True, dir_okay=False), is_eager=True,
+            expose_value=False, callback=_load_config,
+            help="Flat key=value file pre-setting any option of this command.",
+        ))
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ParameterError, DataError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except NumericError as exc:
+            failure = click.ClickException(str(exc))
+            failure.exit_code = 3
+            raise failure from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+class _CommaList(click.types.StringParamType):
+    """Comma-separated tokens, stripped, empty ones skipped, each converted
+    by ``item``."""
+
+    def __init__(self, item: click.ParamType) -> None:
+        self.item = item
+
+    def convert(self, value, param, ctx) -> tuple:
+        tokens = (token.strip() for token in super().convert(value, param, ctx).split(","))
+        return tuple(self.item(token, param, ctx) for token in tokens if token)
 
 
 def _model_spec(options: dict) -> ModelSpec:
     kind = ModelKind(options["model"])
     p = options["p"]
     if kind is ModelKind.BLOCK:
-        sizes = tuple(int(tok) for tok in str(options["block_sizes"]).split(",") if tok.strip())
+        sizes = options["block_sizes"]
         return ModelSpec(kind=kind, p=sum(sizes), block_sizes=sizes, gamma=options["gamma"])
     if kind is ModelKind.NESTED:
         return ModelSpec(kind=kind, p=p, gamma=options["gamma"])
@@ -121,33 +147,28 @@ def _denoiser_config(options: dict, input_size: int) -> DenoiserConfig:
     )
 
 
-_config_option = click.option(
-    "--config", type=click.Path(exists=True, dir_okay=False), default=None,
-    help="Flat key=value file pre-setting any option of this command.",
-)
-
 _denoiser_options = [
-    click.option("--net-blocks", type=int, default=10, show_default=True,
+    click.option("--net-blocks", type=int, default=DenoiserConfig.num_blocks,
                  help="Residual blocks in the denoiser."),
-    click.option("--filters", type=int, default=64, show_default=True,
+    click.option("--filters", type=int, default=DenoiserConfig.num_filters,
                  help="Convolution filters per layer."),
-    click.option("--kernel-size", type=int, default=3, show_default=True,
+    click.option("--kernel-size", type=int, default=DenoiserConfig.kernel,
                  help="Convolution kernel size (odd)."),
-    click.option("--lr", type=float, default=1e-3, show_default=True,
+    click.option("--lr", type=float, default=DenoiserConfig.learning_rate,
                  help="Adam learning rate."),
-    click.option("--batch-size", type=int, default=16, show_default=True),
-    click.option("--epochs", type=int, default=10, show_default=True),
-    click.option("--validation-fraction", type=float, default=0.2, show_default=True),
+    click.option("--batch-size", type=int, default=DenoiserConfig.batch_size),
+    click.option("--epochs", type=int, default=DenoiserConfig.epochs),
+    click.option("--validation-fraction", type=float, default=DenoiserConfig.validation_fraction),
 ]
 
 _model_options = [
     click.option("--model", type=click.Choice([k.value for k in ModelKind]), required=True),
-    click.option("--p", type=int, default=100, show_default=True,
+    click.option("--p", type=int, default=100,
                  help="Dimension (ignored for block models: sizes define it)."),
-    click.option("--block-sizes", type=str, default=DEFAULT_BLOCK_SIZES, show_default=True),
-    click.option("--gamma", type=float, default=0.3, show_default=True),
-    click.option("--alpha", type=float, default=1.5, show_default=True),
-    click.option("--model-seed", type=int, default=0, show_default=True,
+    click.option("--block-sizes", type=_CommaList(click.INT), default=DEFAULT_BLOCK_SIZES),
+    click.option("--gamma", type=float, default=0.3),
+    click.option("--alpha", type=float, default=1.5),
+    click.option("--model-seed", type=int, default=0,
                  help="Seed of the power-law orthogonal draw."),
 ]
 
@@ -161,40 +182,35 @@ def _add_options(options):
     return wrap
 
 
-@click.group()
+@click.group(cls=_Group, context_settings={"show_default": True})
 def cli() -> None:
     """Covariance denoising toolkit."""
 
 
 @cli.command()
 @_add_options(_model_options)
-@click.option("--n", type=int, default=200, show_default=True, help="Observations per draw.")
-@click.option("--m", type=int, default=1000, show_default=True, help="Monte Carlo realizations.")
-@click.option("--estimators", type=str, default="naive,lp,alca,2s-lp", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--train-count", type=int, default=100, show_default=True,
+@click.option("--n", type=int, default=200, help="Observations per draw.")
+@click.option("--m", type=int, default=1000, help="Monte Carlo realizations.")
+@click.option("--estimators", type=_CommaList(click.STRING), default="naive,lp,alca,2s-lp")
+@click.option("--seed", type=int, default=0)
+@click.option("--train-count", type=int, default=100,
               help="Training samples for learned estimators.")
-@click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
-@click.option("--diagnostics", is_flag=True, default=False,
+@click.option("--threads", type=int, default=1)
+@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+@click.option("--diagnostics", is_flag=True,
               help="Also emit scree-plot and dendrogram data for the population model.")
 @_add_options(_denoiser_options)
-@_config_option
-@click.pass_context
-@_guarded
-def simulate(ctx: click.Context, **options) -> None:
+def simulate(**options) -> None:
     """Monte Carlo loss evaluation of estimators on a population model."""
-    options = _apply_config(ctx, options)
     spec = _model_spec(options)
-    names = [tok.strip() for tok in options["estimators"].split(",") if tok.strip()]
     denoiser = None
-    if any(network_mode(name) for name in names):
+    if any(network_mode(name) for name in options["estimators"]):
         denoiser = _denoiser_config(options, spec.p)
     report = run_monte_carlo(
         spec,
         n=options["n"],
         m=options["m"],
-        estimators=names,
+        estimators=options["estimators"],
         seed=options["seed"],
         denoiser_config=denoiser,
         train_count=options["train_count"],
@@ -227,19 +243,13 @@ def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
 
 @cli.command()
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--output-prices", type=click.Path(dir_okay=False), default="cleaned_prices.csv",
-              show_default=True)
-@click.option("--output-returns", type=click.Path(dir_okay=False), default="returns.csv",
-              show_default=True)
-@click.option("--missing-threshold", type=float, default=0.01, show_default=True)
-@click.option("--volatility-quantile", type=float, default=0.10, show_default=True)
-@click.option("--exclude-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@_config_option
-@click.pass_context
-@_guarded
-def clean(ctx: click.Context, **options) -> None:
+@click.option("--output-prices", type=click.Path(dir_okay=False), default="cleaned_prices.csv")
+@click.option("--output-returns", type=click.Path(dir_okay=False), default="returns.csv")
+@click.option("--missing-threshold", type=float, default=0.01)
+@click.option("--volatility-quantile", type=float, default=0.10)
+@click.option("--exclude-file", type=click.Path(exists=True, dir_okay=False))
+def clean(**options) -> None:
     """Clean a price CSV and emit filled prices plus log returns."""
-    options = _apply_config(ctx, options)
     panel = load_prices(options["input_path"])
     exclusions = read_exclusions(options["exclude_file"]) if options["exclude_file"] else []
     cleaned, summary = clean_panel_report(
@@ -259,30 +269,21 @@ def clean(ctx: click.Context, **options) -> None:
 
 
 @cli.command(name="train")
-@click.option("--source", type=click.Choice(["simulation", "returns"]), default="simulation",
-              show_default=True)
+@click.option("--source", type=click.Choice(["simulation", "returns"]), default="simulation")
 @_add_options(_model_options)
-@click.option("--n", type=int, default=200, show_default=True,
-              help="Observations per simulated draw.")
+@click.option("--n", type=int, default=200, help="Observations per simulated draw.")
 @click.option("--returns", "returns_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Returns CSV for rolling-window training.")
-@click.option("--window-length", type=int, default=182, show_default=True)
-@click.option("--count", type=int, default=100, show_default=True, help="Training samples.")
-@click.option("--stride", type=int, default=1, show_default=True)
-@click.option("--mode", type=click.Choice(list(MODES)), default="covariance",
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--weights-out", type=click.Path(dir_okay=False), default="denoiser.cdnw",
-              show_default=True)
-@click.option("--loss-curve-out", type=click.Path(dir_okay=False), default="loss_curve.csv",
-              show_default=True)
+              help="Returns CSV for rolling-window training.")
+@click.option("--window-length", type=int, default=182)
+@click.option("--count", type=int, default=100, help="Training samples.")
+@click.option("--stride", type=int, default=1)
+@click.option("--mode", type=click.Choice(list(MODES)), default="covariance")
+@click.option("--seed", type=int, default=0)
+@click.option("--weights-out", type=click.Path(dir_okay=False), default="denoiser.cdnw")
+@click.option("--loss-curve-out", type=click.Path(dir_okay=False), default="loss_curve.csv")
 @_add_options(_denoiser_options)
-@_config_option
-@click.pass_context
-@_guarded
-def train_command(ctx: click.Context, **options) -> None:
+def train_command(**options) -> None:
     """Train the denoiser on simulated draws or a rolling returns panel."""
-    options = _apply_config(ctx, options)
     if options["source"] == "simulation":
         spec = _model_spec(options)
         data = build_training_set_simulation(
@@ -319,33 +320,28 @@ def train_command(ctx: click.Context, **options) -> None:
 @click.option("--returns", "returns_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @click.option("--strategy", type=click.Choice(["estimator", "uniform", "buy-and-hold"]),
-              default="estimator", show_default=True)
-@click.option("--estimator", type=click.Choice(list(ESTIMATOR_NAMES)), default="naive",
-              show_default=True)
-@click.option("--symbol", type=str, default=None, help="Asset for buy-and-hold.")
+              default="estimator")
+@click.option("--estimator", type=click.Choice(list(ESTIMATOR_NAMES)),
+              default=WalkForwardConfig.estimator)
+@click.option("--symbol", type=str, help="Asset for buy-and-hold.")
 @click.option("--split-date", type=str, required=True, help="First out-of-sample date (ISO).")
-@click.option("--t-in", type=int, default=182, show_default=True)
-@click.option("--t-out", type=int, default=182, show_default=True,
+@click.option("--t-in", type=int, default=WalkForwardConfig.t_in)
+@click.option("--t-out", type=int, default=WalkForwardConfig.t_out,
               help="Days each allocation is held; must equal --delta-t.")
-@click.option("--delta-t", type=int, default=182, show_default=True,
+@click.option("--delta-t", type=int, default=WalkForwardConfig.delta_t,
               help="Days between rebalances; must equal --t-out, so holds run back to back.")
-@click.option("--pre-history", type=int, default=282, show_default=True)
-@click.option("--train-count", type=int, default=100, show_default=True)
-@click.option("--train-stride", type=int, default=1, show_default=True)
-@click.option("--return-mode", type=click.Choice(["simple", "log"]), default="simple",
-              show_default=True)
-@click.option("--seriation/--no-seriation", default=True, show_default=True,
+@click.option("--pre-history", type=int, default=WalkForwardConfig.pre_history_days)
+@click.option("--train-count", type=int, default=WalkForwardConfig.train_window_count)
+@click.option("--train-stride", type=int, default=WalkForwardConfig.train_stride)
+@click.option("--return-mode", type=click.Choice(RETURN_MODES),
+              default=WalkForwardConfig.return_mode)
+@click.option("--seriation/--no-seriation", default=WalkForwardConfig.seriation_per_window,
               help="Reorder assets spectrally before denoising.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default="backtest_out",
-              show_default=True)
+@click.option("--seed", type=int, default=0)
+@click.option("--out-dir", type=click.Path(file_okay=False), default="backtest_out")
 @_add_options(_denoiser_options)
-@_config_option
-@click.pass_context
-@_guarded
-def backtest_command(ctx: click.Context, **options) -> None:
+def backtest_command(**options) -> None:
     """Walk-forward backtest of a covariance estimator (or a benchmark)."""
-    options = _apply_config(ctx, options)
     panel = load_returns(options["returns_path"])
     needs_net = network_mode(options["estimator"]) is not None
     config = WalkForwardConfig(

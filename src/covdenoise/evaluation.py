@@ -34,7 +34,12 @@ from .errors import CovDenoiseError, ParameterError, SingularMatrixError
 from .estimators import make_estimator, network_mode
 from .ingest import table_text
 from .models import ModelSpec, sample_covariance
-from .randomness import STREAM_REALIZATION, child_seed
+from .randomness import (
+    STREAM_HARNESS_COVARIANCE,
+    STREAM_HARNESS_EIGENVECTORS,
+    STREAM_REALIZATION,
+    child_seed,
+)
 from .spectral import floored_eigenvalues, floored_spectrum
 
 
@@ -127,7 +132,10 @@ class MonteCarloReport:
 
 
 # training seed stream of each network mode
-_TRAINING_STREAMS = {"covariance": 10, "eigenvectors": 11}
+_TRAINING_STREAMS = {
+    "covariance": STREAM_HARNESS_COVARIANCE,
+    "eigenvectors": STREAM_HARNESS_EIGENVECTORS,
+}
 
 
 def _train_harness_weights(model, n, modes, seed, denoiser_config, train_count):
@@ -158,7 +166,14 @@ def run_monte_carlo(
     """Average both losses over m realizations for each estimator."""
     if m < 1:
         raise ParameterError("m must be >= 1")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     names = tuple(estimators)
+    if not names:
+        raise ParameterError("no estimators given")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ParameterError(f"estimators {repeated} are listed more than once")
     modes = {name: network_mode(name) for name in names}
     needs_training = [name for name in names if modes[name]]
     if needs_training and denoiser_config is None:

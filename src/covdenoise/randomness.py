@@ -15,6 +15,9 @@ STREAM_REALIZATION = 0
 STREAM_TRAINING = 1
 STREAM_INIT = 2
 STREAM_SHUFFLE = 3
+# the Monte Carlo harness's training sets, one stream per network mode
+STREAM_HARNESS_COVARIANCE = 10
+STREAM_HARNESS_EIGENVECTORS = 11
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:

@@ -1,12 +1,16 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from covdenoise.backtest import WalkForwardConfig
 from covdenoise.cli import cli
+from covdenoise.denoiser import DenoiserConfig
 
 
 @pytest.fixture
@@ -481,3 +485,193 @@ def test_loss_curve_keeps_its_bytes(runner, tmp_path, fraction):
     rows = curve.read_text().splitlines()
     assert len(rows) == 3 and all(row.endswith(",") == (fraction == "0") for row in rows[1:])
     assert _digests(tmp_path, ["loss_curve.csv"]) == {"loss_curve.csv": GOLDEN_LOSS_CURVES[fraction]}
+
+
+def _sample_values(param, tmp_path):
+    """Two command-line values of ``param`` that parse apart, the first not
+    its default."""
+    if param.name == "block_sizes":
+        return "4,5", "6"
+    if param.name == "estimators":
+        return "naive,lp", "alca"
+    if isinstance(param.type, click.Choice):
+        others = [choice for choice in param.type.choices if choice != param.default]
+        return others[0], [*others, param.default][1]
+    if isinstance(param.type, click.Path):
+        paths = tmp_path / f"{param.name}-a", tmp_path / f"{param.name}-b"
+        if param.type.exists:
+            for path in paths:
+                path.write_text("")
+        return tuple(map(str, paths))
+    if param.type is click.INT:
+        return "7", "8"
+    if param.type is click.FLOAT:
+        return "0.25", "0.5"
+    return "2023-04-01", "2024-01-01"
+
+
+def _required_args(command, tmp_path, skip=None):
+    args = []
+    for param in command.params:
+        if param.required and param is not skip:
+            args += [param.opts[0], _sample_values(param, tmp_path)[0]]
+    return args
+
+
+def _parse(command, *args):
+    """The option values ``command`` takes from ``args``, without running it."""
+    return command.make_context(command.name, list(args)).params
+
+
+def _option_cases():
+    for command in cli.commands.values():
+        for param in command.params:
+            if param.name != "config":
+                yield pytest.param(command, param, id=f"{command.name}-{param.name}")
+
+
+@pytest.mark.parametrize("command, param", _option_cases())
+def test_every_option_loads_from_a_config_file_by_its_flag_name(tmp_path, command, param):
+    required = _required_args(command, tmp_path, skip=param)
+    config = tmp_path / "run.cfg"
+    key = param.opts[0].lstrip("-")
+    if param.is_flag:
+        config.write_text(f"{key}={str(not param.default).lower()}\n")
+        assert _parse(command, *required, "--config", str(config))[param.name] is not param.default
+        if param.secondary_opts:  # the flag restoring the default still wins
+            restore = param.opts[0] if param.default else param.secondary_opts[0]
+            parsed = _parse(command, *required, restore, "--config", str(config))
+            assert parsed[param.name] is param.default
+        return
+    from_file, from_flag = _sample_values(param, tmp_path)
+    config.write_text(f"{key}={from_file}\n")
+    loaded = _parse(command, *required, "--config", str(config))[param.name]
+    assert loaded == _parse(command, *required, param.opts[0], from_file)[param.name]
+    if not param.required:
+        assert loaded != _parse(command, *required)[param.name]
+    flagged = _parse(command, *required, param.opts[0], from_flag)[param.name]
+    assert flagged != loaded
+    parsed = _parse(command, *required, param.opts[0], from_flag, "--config", str(config))
+    assert parsed[param.name] == flagged
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("simulate", "block_sizes"), ("backtest", "split_date"), ("backtest", "returns_path"),
+     ("train", "returns_path"), ("clean", "input_path")],
+)
+def test_config_keys_take_underscores_and_parameter_names(tmp_path, command, key):
+    command = cli.commands[command]
+    param = next(param for param in command.params if param.name == key)
+    required = _required_args(command, tmp_path, skip=param)
+    value = _sample_values(param, tmp_path)[0]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    loaded = _parse(command, *required, "--config", str(config))[key]
+    assert loaded == _parse(command, *required, param.opts[0], value)[key]
+
+
+def test_required_options_can_come_from_the_config_file(runner, tmp_path):
+    returns = _returns_csv(tmp_path, runner)
+    config = tmp_path / "bt.cfg"
+    config.write_text(f"returns={returns}\nsplit-date=2023-04-01\nt-in=30\nt_out=30\ndelta-t=30\n")
+    by_file = runner.invoke(cli, ["backtest", "--config", str(config),
+                                  "--out-dir", str(tmp_path / "file")])
+    assert by_file.exit_code == 0, by_file.output
+    by_flags = runner.invoke(
+        cli,
+        ["backtest", "--returns", str(returns), "--split-date", "2023-04-01", "--t-in", "30",
+         "--t-out", "30", "--delta-t", "30", "--out-dir", str(tmp_path / "flags")],
+    )
+    assert by_flags.exit_code == 0, by_flags.output
+    for name in ("metrics.json", "weights.csv", "daily_returns.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    config.write_text("model=nested\np=6\nestimators=naive\n")
+    result = runner.invoke(cli, ["simulate", "--config", str(config), "--n", "20", "--m", "2",
+                                 "--out-dir", str(tmp_path / "sim")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "sim" / "report.json").read_text())["model"]["kind"] == "nested"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("seed=1\nseed=2\n", ":2: repeated config key 'seed'"),
+     ("block-sizes=3\n# note\nblock_sizes=4\n", ":3: repeated config key 'block_sizes'"),
+     ("m=1\nconfig=other.cfg\n", ": unknown config key 'config'"),
+     ("m=1\n\nseed 4\n", ":3: expected key=value, got 'seed 4'")],
+    ids=["same-spelling", "two-spellings", "config-key", "no-equals"],
+)
+def test_config_file_errors_name_the_file_and_the_line_or_key(runner, tmp_path, text, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    result = runner.invoke(cli, ["simulate", "--model", "nested", "--config", str(config),
+                                 "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"Error: {config}{message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["train", "--source", "simulation"]], ids=["simulate", "train"]
+)
+def test_a_bad_block_size_exits_2_naming_the_token(runner, tmp_path, command):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, [*command, "--model", "block", "--block-sizes", "3,x"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--block-sizes': 'x' is not a valid integer." in result.output
+
+
+@pytest.mark.parametrize(
+    "option, raw, expected",
+    [("--block-sizes", " 3, ,4,", (3, 4)), ("--estimators", " naive , lp,", ("naive", "lp")),
+     ("--estimators", ",", ())],
+)
+def test_comma_lists_strip_tokens_and_skip_empty_ones(option, raw, expected):
+    parsed = _parse(cli.commands["simulate"], "--model", "block", option, raw)
+    assert parsed[option[2:].replace("-", "_")] == expected
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--estimators", ","], "no estimators given"),
+     (["--estimators", "naive,lp,naive"], "estimators ['naive'] are listed more than once"),
+     (["--threads", "0"], "threads must be >= 1, got 0")],
+    ids=["empty", "repeated", "threads"],
+)
+def test_simulate_exits_2_on_estimator_lists_and_threads_the_harness_rejects(
+    runner, tmp_path, extra, message
+):
+    result = runner.invoke(cli, ["simulate", "--model", "nested", "--p", "5", "--m", "1", *extra,
+                                 "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+DENOISER_DEFAULTS = {
+    "net_blocks": "num_blocks", "filters": "num_filters", "kernel_size": "kernel",
+    "lr": "learning_rate", "batch_size": "batch_size", "epochs": "epochs",
+    "validation_fraction": "validation_fraction",
+}
+WALK_FORWARD_DEFAULTS = {
+    "estimator": "estimator", "t_in": "t_in", "t_out": "t_out", "delta_t": "delta_t",
+    "pre_history": "pre_history_days", "train_count": "train_window_count",
+    "train_stride": "train_stride", "return_mode": "return_mode",
+    "seriation": "seriation_per_window",
+}
+
+
+def _default_cases():
+    for command in ("simulate", "train", "backtest"):
+        for option, field in DENOISER_DEFAULTS.items():
+            yield pytest.param(command, option, DenoiserConfig, field, id=f"{command}-{option}")
+    for option, field in WALK_FORWARD_DEFAULTS.items():
+        yield pytest.param("backtest", option, WalkForwardConfig, field, id=f"backtest-{option}")
+
+
+@pytest.mark.parametrize("command, option, config_class, field", _default_cases())
+def test_cli_defaults_are_the_config_field_defaults(command, option, config_class, field):
+    defaults = {entry.name: entry.default for entry in dataclasses.fields(config_class)}
+    param = next(param for param in cli.commands[command].params if param.name == option)
+    assert param.default == defaults[field]

@@ -290,3 +290,30 @@ def test_monte_carlo_builds_the_population_inverse_once_before_the_pool(monkeypa
     report = run_monte_carlo(spec, 20, 4, ["naive", "lp"], seed=2, threads=2)
     assert all(row.failures == 0 for row in report.rows.values())
     assert builds == [threading.main_thread()]
+
+
+def test_monte_carlo_rejects_an_empty_estimator_list():
+    spec = ModelSpec(kind=ModelKind.NESTED, p=5, gamma=0.2)
+    with pytest.raises(ParameterError, match="no estimators given"):
+        run_monte_carlo(spec, 10, 2, [], seed=1)
+
+
+def test_monte_carlo_rejects_a_repeated_estimator():
+    spec = ModelSpec(kind=ModelKind.NESTED, p=5, gamma=0.2)
+    with pytest.raises(ParameterError, match=r"\['naive'\] are listed more than once"):
+        run_monte_carlo(spec, 10, 2, ["naive", "lp", "naive"], seed=1)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_monte_carlo_rejects_fewer_than_one_thread(threads):
+    spec = ModelSpec(kind=ModelKind.NESTED, p=5, gamma=0.2)
+    with pytest.raises(ParameterError, match=f"threads must be >= 1, got {threads}"):
+        run_monte_carlo(spec, 10, 2, ["naive"], seed=1, threads=threads)
+
+
+def test_seed_streams_are_distinct_and_the_harness_streams_keep_their_values():
+    import covdenoise.randomness as randomness
+
+    streams = [value for name, value in vars(randomness).items() if name.startswith("STREAM_")]
+    assert len(set(streams)) == len(streams)
+    assert evaluation._TRAINING_STREAMS == {"covariance": 10, "eigenvectors": 11}
