@@ -11,6 +11,11 @@ turnover is measured between the drifted weights and the next target
 allocation.  Nothing after a rebalance boundary ever enters that rebalance's
 estimate, so the engine is free of look-ahead by construction.
 
+Each window's long-only QP starts from the previous allocation's support
+(the ``support`` warm start of :func:`~covdenoise.portfolio.mvp_plus_weights`):
+overlapping windows move the support by a few assets, so the solver pivots a
+few times instead of blocking most assets one by one.
+
 Each window's estimate, allocation and hold run on one BLAS thread; a
 ``cnn``/``hybrid`` window's training keeps the host's BLAS threads.  This is
 the package's BLAS rule, stated in :mod:`covdenoise._blas`.
@@ -179,8 +184,10 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
             f"insufficient history before the split date: have {split} days, "
             f"need {history_needed} ({history_needed - split} more)"
         )
+    support = None  # the previous allocation's support warm-starts the next QP
 
     def allocate(k: int, boundary: int) -> tuple[WeightVector, dict]:
+        nonlocal support
         in_sample = panel.values[:, boundary - config.t_in:boundary]
         order = None
         if mode and config.seriation_per_window:
@@ -219,7 +226,9 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
             if order is not None:
                 undo = invert_permutation(order)
                 estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
-            return mvp_plus_weights(estimate), window_diag
+            allocation = mvp_plus_weights(estimate, support=support)
+        support = allocation.weights > 0
+        return allocation, window_diag
 
     return _rebalance_loop(panel, boundaries, config.t_out, config.return_mode, allocate)
 

@@ -161,8 +161,9 @@ _denoiser_options = [
     click.option("--validation-fraction", type=float, default=DenoiserConfig.validation_fraction),
 ]
 
+_MODEL_KINDS = click.Choice([k.value for k in ModelKind])
+# the population model's parameters; each command declares --model itself
 _model_options = [
-    click.option("--model", type=click.Choice([k.value for k in ModelKind]), required=True),
     click.option("--p", type=int, default=100,
                  help="Dimension (ignored for block models: sizes define it)."),
     click.option("--block-sizes", type=_CommaList(click.INT), default=DEFAULT_BLOCK_SIZES),
@@ -188,6 +189,7 @@ def cli() -> None:
 
 
 @cli.command()
+@click.option("--model", type=_MODEL_KINDS, required=True)
 @_add_options(_model_options)
 @click.option("--n", type=int, default=200, help="Observations per draw.")
 @click.option("--m", type=int, default=1000, help="Monte Carlo realizations.")
@@ -270,6 +272,8 @@ def clean(**options) -> None:
 
 @cli.command(name="train")
 @click.option("--source", type=click.Choice(["simulation", "returns"]), default="simulation")
+@click.option("--model", type=_MODEL_KINDS,
+              help="Population model; required with --source simulation.")
 @_add_options(_model_options)
 @click.option("--n", type=int, default=200, help="Observations per simulated draw.")
 @click.option("--returns", "returns_path", type=click.Path(exists=True, dir_okay=False),
@@ -285,6 +289,8 @@ def clean(**options) -> None:
 def train_command(**options) -> None:
     """Train the denoiser on simulated draws or a rolling returns panel."""
     if options["source"] == "simulation":
+        if options["model"] is None:
+            raise click.UsageError("--source simulation requires --model")
         spec = _model_spec(options)
         data = build_training_set_simulation(
             spec, options["n"], options["count"], options["seed"], mode=options["mode"]

@@ -13,7 +13,9 @@ from .ingest import format_row
 from .spectral import floored_spectrum
 
 BUDGET_TOL = 1e-8
-KKT_TOL = 1e-8
+# a blocked coordinate is released while its multiplier is below -RELEASE_TOL * lam,
+# lam = w'Qw the budget multiplier: relative, so the answer ignores the units of sigma
+RELEASE_TOL = 1e-9
 # relative residual past which the long-only QP inverts its free block afresh
 REFACTOR_TOL = 1e-12
 # the crypto calendar: these markets trade every day, so a year is 365 daily returns
@@ -47,61 +49,125 @@ def mvp_weights(sigma) -> WeightVector:
     return WeightVector(solved / solved.sum(), long_only=False)
 
 
-def mvp_plus_weights(sigma, max_iterations: int | None = None) -> WeightVector:
+def mvp_plus_weights(
+    sigma, max_iterations: int | None = None, *, support=None
+) -> WeightVector:
     """Long-only minimum-variance weights by a primal active-set method.
 
     Each iteration moves towards the closed-form optimum on the free
     coordinates, inv 1 / (1' inv 1), where ``inv`` is the inverse of the free
     block held in a p x p workspace with zero rows and columns for blocked
-    coordinates.  ``inv`` starts as the inverse of the floored spectrum and is
-    updated, not re-solved: blocking a coordinate is a Schur-complement
-    downdate (:func:`_block`), releasing one a bordering update
-    (:func:`_release`), O(p^2) each.  Downdates of a near-singular start lose
-    accuracy, so at each stationary point whose free-block residual has grown
-    past ``REFACTOR_TOL`` the free block is inverted afresh.
+    coordinates.  ``inv`` is updated, not re-solved: blocking a coordinate is
+    a Schur-complement downdate (:func:`_block`), releasing one a bordering
+    update (:func:`_release`), O(p^2) each.  Downdates of a near-singular start
+    lose accuracy, so at each stationary point whose free-block residual has
+    grown past ``REFACTOR_TOL`` the free block is inverted afresh.
+
+    Without ``support`` every coordinate starts free, at uniform weights, and
+    ``inv`` is the inverse of the floored spectrum.  A boolean ``support``
+    (say, the previous rebalance's ``weights > 0``) warm-starts the solver at
+    uniform weights on those coordinates, with the free block inverted once
+    (:func:`_free_block_inverse`); an empty or full support is the all-free
+    start.  Either start ends at the same optimum where it is unique.  On a
+    near-singular free block a released weight can fall at once, and the
+    warm start would cycle; a warm start that stalls so, or runs out of
+    iterations, is dropped for the all-free start.
 
     A coordinate is blocked at the first boundary crossing: the ratio test
     keeps the first falling coordinate, in index order, whose ratio lies more
-    than 1e-15 below the best so far (:func:`_ratio_test`).  Blocked
-    coordinates leave on the most negative multiplier, lowest index first, so
-    the pivoting is deterministic and terminates exactly.
+    than 1e-15 below the best so far (:func:`_ratio_test`).  At a stationary
+    point a blocked coordinate is released while its multiplier lies below
+    ``-RELEASE_TOL * lam``, where lam = w'Qw is the budget multiplier, so
+    scaling sigma scales both sides and leaves the weights unchanged.  The
+    most negative multiplier leaves first, lowest index on ties, so the
+    pivoting is deterministic and terminates exactly.
     """
     eigenvalues, vectors = floored_spectrum(sigma, "sigma")
     quad = (vectors * eigenvalues) @ vectors.T  # PD version of sigma used by the solver
-    inv = (vectors / eigenvalues) @ vectors.T
-    solved = inv.sum(axis=1)
     p = quad.shape[0]
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)
-    weights = np.full(p, 1.0 / p)
-    free = np.ones(p, dtype=bool)
+    free = _starting_support(support, p)
+    if free is not None:
+        weights = _active_set(quad, free, _free_block_inverse(quad, free)[0], cap, warm=True)
+        if weights is not None:
+            return WeightVector(weights, long_only=True)
+    inv = (vectors / eigenvalues) @ vectors.T
+    return WeightVector(_active_set(quad, np.ones(p, dtype=bool), inv, cap), long_only=True)
+
+
+def _active_set(
+    quad: np.ndarray, free: np.ndarray, inv: np.ndarray, cap: int, warm: bool = False
+) -> np.ndarray | None:
+    """The pivot loop of :func:`mvp_plus_weights` from uniform weights on the
+    ``free`` coordinates, whose block has inverse ``inv`` in the p x p
+    workspace; ``free`` and ``inv`` are updated in place.
+
+    Returns the optimal weights.  A ``warm`` start inverts its final free
+    block afresh before it returns, since its first block may be
+    ill-conditioned (one asset past a support at the sample's rank) and the
+    updates of such an inverse drift below what :func:`_drifted` detects.  It
+    returns None where the step after a release has zero length (the released
+    weight fell at once) and when it hits ``cap``; any other start raises
+    :class:`SolverError` there.
+    """
+    weights = free / np.count_nonzero(free)
+    solved = inv.sum(axis=1)
+    released = False
+    fresh = True  # no update since ``inv`` was last inverted afresh
     for _ in range(cap):
         step = solved / solved.sum() - weights
         if np.abs(step).max() <= 1e-14 and _drifted(quad, solved, free):
             inv, solved = _free_block_inverse(quad, free)
+            fresh = True
             step = solved / solved.sum() - weights
         if np.abs(step).max() <= 1e-14:
             gradient = quad @ weights
             lam = float(weights @ gradient)  # active-set multiplier of the budget constraint
             multipliers = gradient - lam
             blocked = np.flatnonzero(~free)
-            if blocked.size == 0 or np.all(multipliers[blocked] >= -KKT_TOL):
-                return WeightVector(np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum(),
-                                    long_only=True)
+            if blocked.size == 0 or np.all(multipliers[blocked] >= -RELEASE_TOL * lam):
+                if warm and not fresh:
+                    inv, solved = _free_block_inverse(quad, free)
+                    fresh = True
+                    continue
+                return np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
             release = blocked[np.argmin(multipliers[blocked])]
             _release(inv, solved, quad, release)
             free[release] = True
+            released, fresh = True, False
             continue
         falling = (step < 0.0).nonzero()[0]
         limit, blocker = _ratio_test(falling, weights[falling] / -step[falling])
+        if warm and released and limit == 0.0:
+            return None
+        released = False
         weights = weights + limit * step
         if blocker >= 0:
             weights[blocker] = 0.0
             free[blocker] = False
             _block(inv, solved, blocker)
+            fresh = False
         np.maximum(weights, 0.0, out=weights)
         weights /= weights.sum()
+    if warm:
+        return None
     residual = _kkt_residual(quad, weights)
     raise SolverError(f"active-set solver hit the iteration cap (KKT residual {residual:.3e})")
+
+
+def _starting_support(support, p: int) -> np.ndarray | None:
+    """A copy of the warm-start ``support`` as a boolean mask, or None for the
+    all-free start (no support, or an empty or full one)."""
+    if support is None:
+        return None
+    free = np.array(support, dtype=bool)
+    if free.shape != (p,):
+        raise ParameterError(
+            f"support must be a boolean vector of length {p}, got shape {free.shape}"
+        )
+    if free.all() or not free.any():
+        return None
+    return free
 
 
 def _block(inv: np.ndarray, solved: np.ndarray, r: int) -> None:

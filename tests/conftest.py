@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covdenoise.portfolio import KKT_TOL
+from covdenoise.portfolio import RELEASE_TOL
 from covdenoise.spectral import floored_spectrum
 
 
@@ -62,9 +62,10 @@ def solve_per_pivot(sigma):
         step = target - weights
         if np.max(np.abs(step)) <= 1e-14:
             gradient = quad @ weights
-            multipliers = gradient - float(weights @ gradient)
+            lam = float(weights @ gradient)
+            multipliers = gradient - lam
             blocked = np.flatnonzero(~free)
-            if blocked.size == 0 or np.all(multipliers[blocked] >= -KKT_TOL):
+            if blocked.size == 0 or np.all(multipliers[blocked] >= -RELEASE_TOL * lam):
                 kept = np.maximum(weights, 0.0)
                 return kept / kept.sum(), path
             release = blocked[np.argmin(multipliers[blocked])]

@@ -197,3 +197,62 @@ def test_iteration_cap_raises_with_the_kkt_residual():
     with pytest.raises(SolverError, match=r"iteration cap \(KKT residual \d\.\d{3}e[+-]\d+\)"):
         mvp_plus_weights(sigma, max_iterations=1)
     assert np.allclose(mvp_plus_weights(sigma, max_iterations=2).weights, [0.0, 1.0])
+
+
+# --- warm starts ---------------------------------------------------------------
+
+def test_warm_starts_next_to_the_optimum_match_the_oracle_on_rank_deficient_samples(
+    monkeypatch,
+):
+    # Every start is the oracle's support with one asset flipped.  Where the
+    # optimum is well determined the warm start lands on it to 1e-12.
+    # Elsewhere the weights on the floored null space move by up to 6.7e-6 (the
+    # cold solve moves as much against the oracle); some of those starts stall,
+    # a released weight falling at once on the near-singular block, and are
+    # solved cold instead.
+    stalls = []
+    active_set = portfolio._active_set
+
+    def recording(*args, **kwargs):
+        weights = active_set(*args, **kwargs)
+        stalls.append(weights is None)
+        return weights
+
+    monkeypatch.setattr(portfolio, "_active_set", recording)
+    rng = np.random.default_rng(8)
+    well_determined = solved_cold = 0
+    for _ in range(60):
+        p = int(rng.integers(6, 61))
+        n = int(rng.integers(3, p))
+        sigma = rank_deficient_sample(rng, p, n)
+        expected, _ = solve_per_pivot(sigma)
+        determined = np.count_nonzero(expected) < n - 1
+        well_determined += determined
+        cold = mvp_plus_weights(sigma).weights
+        for flip in range(p):
+            support = expected > 0
+            support[flip] = not support[flip]
+            stalls.clear()
+            weights = mvp_plus_weights(sigma, support=support).weights
+            assert kkt_residual(sigma, weights) <= 1e-8
+            assert np.array_equal(weights > 0, expected > 0)
+            if stalls[0]:
+                solved_cold += 1
+                assert not determined
+                assert np.array_equal(weights, cold)
+            atol = 1e-12 if determined else 1e-5
+            np.testing.assert_allclose(weights, expected, rtol=0, atol=atol)
+    assert well_determined >= 30
+    assert solved_cold > 0
+
+
+def test_a_warm_start_on_the_optimal_support_takes_no_pivot(traced):
+    sigma = random_psd(np.random.default_rng(4), 20, scale_spread=1.5)
+    cold = mvp_plus_weights(sigma).weights
+    assert 0 < np.count_nonzero(cold) < 20
+    traced["path"].clear()
+    traced["refactors"] = 0
+    warm = mvp_plus_weights(sigma, support=cold > 0).weights
+    assert traced["path"] == [("block", -1)]  # one full step from uniform to the optimum
+    assert traced["refactors"] == 1  # the starting block, inverted once
+    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-14)

@@ -8,6 +8,7 @@ import pytest
 
 import covdenoise.atomic as atomic
 import covdenoise.backtest as backtest
+import covdenoise.portfolio as portfolio
 from covdenoise import (
     ParameterError,
     WalkForwardConfig,
@@ -376,12 +377,65 @@ def test_pinned_report_matches_the_solve_per_pivot_oracle(monkeypatch):
     config = WalkForwardConfig(split_date=panel.dates[50], t_in=30, t_out=20, delta_t=20)
     report = walk_forward(panel, config)
     monkeypatch.setattr(backtest, "mvp_plus_weights",
-                        lambda sigma: WeightVector(solve_per_pivot(sigma)[0], long_only=True))
+                        lambda sigma, support=None: WeightVector(solve_per_pivot(sigma)[0],
+                                                                 long_only=True))
     expected = walk_forward(panel, config)
     for allocation, oracle in zip(report.weight_history, expected.weight_history, strict=True):
         assert np.array_equal(allocation.weights > 0, oracle.weights > 0)
         np.testing.assert_allclose(allocation.weights, oracle.weights, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.daily_returns, expected.daily_returns, rtol=0, atol=1e-12)
+
+
+def correlated_panel(seed, p, days):
+    """Daily log returns with a positive market factor and t-distributed noise."""
+    rng = np.random.default_rng(seed)
+    market = 0.035 * rng.standard_t(4, days) / np.sqrt(2.0)
+    noise = rng.uniform(0.02, 0.06, (p, 1)) * rng.standard_t(3, (p, days)) / np.sqrt(3.0)
+    return make_panel(rng.uniform(0.6, 1.4, (p, 1)) * market + noise)
+
+
+@pytest.mark.parametrize(
+    "p,t_in,estimator", [(30, 60, "naive"), (54, 30, "naive"), (40, 30, "2s-lp")]
+)
+def test_warm_started_weights_match_a_cold_solve_on_every_weekly_window(
+    monkeypatch, p, t_in, estimator
+):
+    # weekly rebalances; t_in < p leaves the naive windows singular.  Each QP
+    # after the first starts from the previous window's support and blocks
+    # far fewer assets than a solve from all assets free
+    panel = correlated_panel(0, p, t_in + 20 * 7)
+    config = WalkForwardConfig(split_date=panel.dates[t_in], estimator=estimator, t_in=t_in,
+                               t_out=7, delta_t=7)
+    calls = []
+    blocks = {"walk_forward": 0, "cold": 0}
+    phase = "walk_forward"
+    block = portfolio._block
+
+    def recording(sigma, support=None):
+        allocation = mvp_plus_weights(sigma, support=support)
+        calls.append((sigma, support, allocation.weights))
+        return allocation
+
+    def counting(inv, solved, r):
+        blocks[phase] += 1
+        block(inv, solved, r)
+
+    monkeypatch.setattr(backtest, "mvp_plus_weights", recording)
+    monkeypatch.setattr(portfolio, "_block", counting)
+    report = walk_forward(panel, config)
+    assert len(calls) == len(report.weight_history) == 20
+    phase = "cold"
+    previous = None
+    for sigma, support, weights in calls:
+        if previous is None:
+            assert support is None
+        else:
+            assert np.array_equal(support, previous > 0)
+        cold = mvp_plus_weights(sigma).weights
+        assert np.array_equal(weights > 0, cold > 0)
+        np.testing.assert_allclose(weights, cold, rtol=0, atol=1e-12)
+        previous = weights
+    assert blocks["walk_forward"] * 3 < blocks["cold"]
 
 
 def test_two_step_hybrid_walk_forward_runs(rng):

@@ -220,6 +220,35 @@ def _returns_csv(tmp_path, runner, p=3, days=320):
     return returns
 
 
+def test_train_on_returns_needs_no_model(runner, tmp_path):
+    returns = _returns_csv(tmp_path, runner)
+    weights = tmp_path / "w.cdnw"
+    curve = tmp_path / "loss.csv"
+    result = runner.invoke(
+        cli,
+        ["train", "--source", "returns", "--returns", str(returns), "--window-length", "30",
+         "--count", "6", "--stride", "5", "--net-blocks", "1", "--filters", "2", "--epochs", "1",
+         "--weights-out", str(weights), "--loss-curve-out", str(curve)],
+    )
+    assert result.exit_code == 0, result.output
+    assert weights.exists()
+    assert len(curve.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["simulate", "--p", "5", "--m", "1"], "Missing option '--model'"),
+     (["train", "--count", "2"], "--source simulation requires --model"),
+     (["train", "--source", "simulation", "--count", "2"], "--source simulation requires --model")],
+    ids=["simulate", "train-default-source", "train-simulation"],
+)
+def test_a_simulated_model_without_model_exits_2_naming_it(runner, tmp_path, args, message):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert f"Error: {message}" in result.output
+
+
 def test_backtest_metrics_row(runner, tmp_path):
     returns = _returns_csv(tmp_path, runner)
     result = runner.invoke(

@@ -118,6 +118,32 @@ def test_mvp_plus_equals_closed_form_when_interior(rng):
             assert np.allclose(constrained, closed, atol=1e-8)
 
 
+def test_mvp_plus_does_not_depend_on_the_units_of_sigma():
+    # the release rule compares multipliers with the budget multiplier, so
+    # rescaling sigma (returns in other units) leaves the weights unchanged;
+    # an absolute threshold stopped early at small scales and moved weights by 2e-2
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        draws = rng.standard_normal((30, 40))
+        sigma = draws @ draws.T / 40
+        base = mvp_plus_weights(sigma).weights
+        for scale in (1e-6, 1e-8, 1e4):
+            scaled = mvp_plus_weights(sigma * scale).weights
+            np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("support", [np.zeros(5, dtype=bool), np.ones(5, dtype=bool)])
+def test_mvp_plus_empty_and_full_supports_are_the_cold_start(rng, support):
+    sigma = random_psd(rng, 5, scale_spread=1.5)
+    cold = mvp_plus_weights(sigma).weights
+    assert np.array_equal(mvp_plus_weights(sigma, support=support).weights, cold)
+
+
+def test_mvp_plus_rejects_a_support_of_the_wrong_length():
+    with pytest.raises(ParameterError, match="support must be a boolean vector of length 4"):
+        mvp_plus_weights(np.eye(4), support=[True, False, True])
+
+
 def test_weight_vector_validation():
     with pytest.raises(ParameterError):
         WeightVector(np.array([0.6, 0.6]))
