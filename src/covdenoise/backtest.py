@@ -13,8 +13,12 @@ estimate, so the engine is free of look-ahead by construction.
 
 Each window's long-only QP starts from the previous allocation's support
 (the ``support`` warm start of :func:`~covdenoise.portfolio.mvp_plus_weights`):
-overlapping windows move the support by a few assets, so the solver pivots a
-few times instead of blocking most assets one by one.
+consecutive windows move the support by a few assets, so the solver pivots a
+few times instead of blocking most assets one by one.  The warm start runs
+only below the estimate's rank, where it ends on the cold solve's weights to
+1e-12; where a singular estimate's optimum reaches its rank the cold solve
+decides.  So a window's weights depend on the previous window's only through
+rounding.
 
 Each window's estimate, allocation and hold run on one BLAS thread; a
 ``cnn``/``hybrid`` window's training keeps the host's BLAS threads.  This is

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .ingest import format_row
-from .spectral import floored_spectrum
+from .spectral import EIGENVALUE_FLOOR, floored_spectrum
 
 BUDGET_TOL = 1e-8
 # a blocked coordinate is released while its multiplier is below -RELEASE_TOL * lam,
@@ -67,11 +67,14 @@ def mvp_plus_weights(
     ``inv`` is the inverse of the floored spectrum.  A boolean ``support``
     (say, the previous rebalance's ``weights > 0``) warm-starts the solver at
     uniform weights on those coordinates, with the free block inverted once
-    (:func:`_free_block_inverse`); an empty or full support is the all-free
-    start.  Either start ends at the same optimum where it is unique.  On a
-    near-singular free block a released weight can fall at once, and the
-    warm start would cycle; a warm start that stalls so, or runs out of
-    iterations, is dropped for the all-free start.
+    (:func:`_free_block_inverse`).  The warm start runs only while fewer
+    coordinates are free than sigma has eigenvalues above the floor (its
+    rank): there the free block is well conditioned and the optimum well
+    determined, and the warm start ends on the all-free start's weights to
+    rounding.  A support that is empty or reaches the rank starts all free; a
+    warm start that would release up to the rank, or that runs p iterations
+    (more than an all-free start pivots), is dropped for the all-free start,
+    which gets what is left of ``max_iterations``.
 
     A coordinate is blocked at the first boundary crossing: the ratio test
     keeps the first falling coordinate, in index order, whose ratio lies more
@@ -86,39 +89,38 @@ def mvp_plus_weights(
     quad = (vectors * eigenvalues) @ vectors.T  # PD version of sigma used by the solver
     p = quad.shape[0]
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)
-    free = _starting_support(support, p)
+    rank = int(np.count_nonzero(eigenvalues > EIGENVALUE_FLOOR * eigenvalues[-1]))
+    free = _starting_support(support, p, rank)
     if free is not None:
-        weights = _active_set(quad, free, _free_block_inverse(quad, free)[0], cap, warm=True)
+        inv = _free_block_inverse(quad, free)[0]
+        weights, used = _active_set(quad, free, inv, min(cap, p), rank)
         if weights is not None:
             return WeightVector(weights, long_only=True)
+        cap -= used
     inv = (vectors / eigenvalues) @ vectors.T
-    return WeightVector(_active_set(quad, np.ones(p, dtype=bool), inv, cap), long_only=True)
+    weights, _ = _active_set(quad, np.ones(p, dtype=bool), inv, cap, rank)
+    return WeightVector(weights, long_only=True)
 
 
 def _active_set(
-    quad: np.ndarray, free: np.ndarray, inv: np.ndarray, cap: int, warm: bool = False
-) -> np.ndarray | None:
+    quad: np.ndarray, free: np.ndarray, inv: np.ndarray, cap: int, rank: int
+) -> tuple[np.ndarray | None, int]:
     """The pivot loop of :func:`mvp_plus_weights` from uniform weights on the
     ``free`` coordinates, whose block has inverse ``inv`` in the p x p
     workspace; ``free`` and ``inv`` are updated in place.
 
-    Returns the optimal weights.  A ``warm`` start inverts its final free
-    block afresh before it returns, since its first block may be
-    ill-conditioned (one asset past a support at the sample's rank) and the
-    updates of such an inverse drift below what :func:`_drifted` detects.  It
-    returns None where the step after a release has zero length (the released
-    weight fell at once) and when it hits ``cap``; any other start raises
-    :class:`SolverError` there.
+    Returns the optimal weights and the iterations taken.  A warm start
+    (``free`` not all true) returns None for the weights where a release
+    would leave ``rank`` coordinates free and when it hits ``cap``; the
+    all-free start raises :class:`SolverError` at ``cap``.
     """
+    warm = not free.all()
     weights = free / np.count_nonzero(free)
     solved = inv.sum(axis=1)
-    released = False
-    fresh = True  # no update since ``inv`` was last inverted afresh
-    for _ in range(cap):
+    for iteration in range(1, cap + 1):
         step = solved / solved.sum() - weights
         if np.abs(step).max() <= 1e-14 and _drifted(quad, solved, free):
             inv, solved = _free_block_inverse(quad, free)
-            fresh = True
             step = solved / solved.sum() - weights
         if np.abs(step).max() <= 1e-14:
             gradient = quad @ weights
@@ -126,38 +128,32 @@ def _active_set(
             multipliers = gradient - lam
             blocked = np.flatnonzero(~free)
             if blocked.size == 0 or np.all(multipliers[blocked] >= -RELEASE_TOL * lam):
-                if warm and not fresh:
-                    inv, solved = _free_block_inverse(quad, free)
-                    fresh = True
-                    continue
-                return np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
+                return np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum(), iteration
+            if warm and np.count_nonzero(free) + 1 >= rank:
+                return None, iteration
             release = blocked[np.argmin(multipliers[blocked])]
             _release(inv, solved, quad, release)
             free[release] = True
-            released, fresh = True, False
             continue
         falling = (step < 0.0).nonzero()[0]
         limit, blocker = _ratio_test(falling, weights[falling] / -step[falling])
-        if warm and released and limit == 0.0:
-            return None
-        released = False
         weights = weights + limit * step
         if blocker >= 0:
             weights[blocker] = 0.0
             free[blocker] = False
             _block(inv, solved, blocker)
-            fresh = False
         np.maximum(weights, 0.0, out=weights)
         weights /= weights.sum()
     if warm:
-        return None
+        return None, cap
     residual = _kkt_residual(quad, weights)
     raise SolverError(f"active-set solver hit the iteration cap (KKT residual {residual:.3e})")
 
 
-def _starting_support(support, p: int) -> np.ndarray | None:
+def _starting_support(support, p: int, rank: int) -> np.ndarray | None:
     """A copy of the warm-start ``support`` as a boolean mask, or None for the
-    all-free start (no support, or an empty or full one)."""
+    all-free start (no support, an empty one, or one of ``rank`` or more
+    coordinates)."""
     if support is None:
         return None
     free = np.array(support, dtype=bool)
@@ -165,7 +161,7 @@ def _starting_support(support, p: int) -> np.ndarray | None:
         raise ParameterError(
             f"support must be a boolean vector of length {p}, got shape {free.shape}"
         )
-    if free.all() or not free.any():
+    if not free.any() or np.count_nonzero(free) >= rank:
         return None
     return free
 

@@ -201,49 +201,71 @@ def test_iteration_cap_raises_with_the_kkt_residual():
 
 # --- warm starts ---------------------------------------------------------------
 
-def test_warm_starts_next_to_the_optimum_match_the_oracle_on_rank_deficient_samples(
+def test_warm_starts_next_to_the_optimum_match_the_cold_solve_on_rank_deficient_samples(
     monkeypatch,
 ):
-    # Every start is the oracle's support with one asset flipped.  Where the
-    # optimum is well determined the warm start lands on it to 1e-12.
-    # Elsewhere the weights on the floored null space move by up to 6.7e-6 (the
-    # cold solve moves as much against the oracle); some of those starts stall,
-    # a released weight falling at once on the near-singular block, and are
-    # solved cold instead.
-    stalls = []
+    # Every start is the oracle's support with one asset flipped.  A warm start
+    # runs only while fewer assets are free than the sample's rank; where it
+    # ends there, the optimum is well determined and the warm start lands on
+    # the cold solve and the oracle to 1e-12 (3.6e-13 measured).  Where the
+    # optimum reaches the rank its weights on the floored null space move by
+    # up to 6.7e-6 against the oracle, so the cold solve decides, bitwise,
+    # whatever the start.
+    starts = []
     active_set = portfolio._active_set
 
-    def recording(*args, **kwargs):
-        weights = active_set(*args, **kwargs)
-        stalls.append(weights is None)
-        return weights
+    def recording(quad, free, inv, cap, rank):
+        warm = not free.all()
+        weights, used = active_set(quad, free, inv, cap, rank)
+        starts.append((warm, weights is not None))
+        return weights, used
 
     monkeypatch.setattr(portfolio, "_active_set", recording)
     rng = np.random.default_rng(8)
-    well_determined = solved_cold = 0
+    well_determined = kept = dropped = 0
     for _ in range(60):
         p = int(rng.integers(6, 61))
         n = int(rng.integers(3, p))
         sigma = rank_deficient_sample(rng, p, n)
         expected, _ = solve_per_pivot(sigma)
-        determined = np.count_nonzero(expected) < n - 1
+        determined = np.count_nonzero(expected) < n - 1  # the sample's rank is n - 1
         well_determined += determined
         cold = mvp_plus_weights(sigma).weights
         for flip in range(p):
             support = expected > 0
             support[flip] = not support[flip]
-            stalls.clear()
+            starts.clear()
             weights = mvp_plus_weights(sigma, support=support).weights
             assert kkt_residual(sigma, weights) <= 1e-8
             assert np.array_equal(weights > 0, expected > 0)
-            if stalls[0]:
-                solved_cold += 1
-                assert not determined
+            kept += starts == [(True, True)]
+            dropped += starts == [(True, False), (False, True)]
+            if determined:
+                np.testing.assert_allclose(weights, cold, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
+            else:
+                assert starts[-1] == (False, True)
                 assert np.array_equal(weights, cold)
-            atol = 1e-12 if determined else 1e-5
-            np.testing.assert_allclose(weights, expected, rtol=0, atol=atol)
+                np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-5)
     assert well_determined >= 30
-    assert solved_cold > 0
+    assert kept > 1000 and dropped > 0
+
+
+def test_max_iterations_bounds_a_warm_start_and_its_fallback_together(traced):
+    # from the assets the optimum leaves out, the warm start needs more than
+    # its p iterations and is dropped; the all-free start gets what is left
+    sigma = random_psd(np.random.default_rng(4), 20, scale_spread=1.5)
+    cold = mvp_plus_weights(sigma).weights
+    far = cold == 0
+    traced["path"].clear()
+    assert np.array_equal(mvp_plus_weights(sigma, support=far).weights, cold)
+    assert len(traced["path"]) == 20 + 7  # the warm start's pivots, then the cold solve's
+    for cap in (5, 20, 27):
+        traced["path"].clear()
+        with pytest.raises(SolverError, match="iteration cap"):
+            mvp_plus_weights(sigma, max_iterations=cap, support=far)
+        assert len(traced["path"]) == cap
+    assert np.array_equal(mvp_plus_weights(sigma, max_iterations=28, support=far).weights, cold)
 
 
 def test_a_warm_start_on_the_optimal_support_takes_no_pivot(traced):

@@ -395,17 +395,20 @@ def correlated_panel(seed, p, days):
 
 
 @pytest.mark.parametrize(
-    "p,t_in,estimator", [(30, 60, "naive"), (54, 30, "naive"), (40, 30, "2s-lp")]
+    "p,t_in,t_out,estimator",
+    [(30, 60, 7, "naive"), (54, 30, 7, "naive"), (40, 30, 7, "2s-lp"), (30, 60, 60, "naive"),
+     (54, 30, 30, "naive")],
 )
-def test_warm_started_weights_match_a_cold_solve_on_every_weekly_window(
-    monkeypatch, p, t_in, estimator
+def test_warm_started_weights_match_a_cold_solve_on_every_window(
+    monkeypatch, p, t_in, t_out, estimator
 ):
-    # weekly rebalances; t_in < p leaves the naive windows singular.  Each QP
-    # after the first starts from the previous window's support and blocks
-    # far fewer assets than a solve from all assets free
-    panel = correlated_panel(0, p, t_in + 20 * 7)
+    # weekly rebalances, or holds as long as the in-sample window, so that
+    # consecutive windows share no day; t_in < p leaves the naive windows
+    # singular.  Each QP after the first starts from the previous window's
+    # support and blocks far fewer assets than a solve from all assets free
+    panel = correlated_panel(0, p, t_in + 20 * t_out)
     config = WalkForwardConfig(split_date=panel.dates[t_in], estimator=estimator, t_in=t_in,
-                               t_out=7, delta_t=7)
+                               t_out=t_out, delta_t=t_out)
     calls = []
     blocks = {"walk_forward": 0, "cold": 0}
     phase = "walk_forward"

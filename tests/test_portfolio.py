@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import covdenoise.portfolio as portfolio
 from covdenoise import (
     ParameterError,
     WeightVector,
@@ -137,6 +138,28 @@ def test_mvp_plus_empty_and_full_supports_are_the_cold_start(rng, support):
     sigma = random_psd(rng, 5, scale_spread=1.5)
     cold = mvp_plus_weights(sigma).weights
     assert np.array_equal(mvp_plus_weights(sigma, support=support).weights, cold)
+
+
+def test_mvp_plus_support_reaching_the_rank_is_the_cold_start(rng, monkeypatch):
+    # 6 observations of 12 assets: rank 5, so a support of 5 starts all free
+    # and one of 4 warm
+    draws = rng.standard_normal((12, 6))
+    draws -= draws.mean(axis=1, keepdims=True)
+    sigma = draws @ draws.T / 5
+    cold = mvp_plus_weights(sigma).weights
+    all_free = []
+    active_set = portfolio._active_set
+
+    def recording(quad, free, *rest):
+        all_free.append(bool(free.all()))
+        return active_set(quad, free, *rest)
+
+    monkeypatch.setattr(portfolio, "_active_set", recording)
+    assert np.array_equal(mvp_plus_weights(sigma, support=np.arange(12) < 5).weights, cold)
+    assert all_free == [True]
+    all_free.clear()
+    mvp_plus_weights(sigma, support=np.arange(12) < 4)
+    assert all_free[0] is False
 
 
 def test_mvp_plus_rejects_a_support_of_the_wrong_length():
