@@ -39,7 +39,7 @@ from ._blas import single_blas_thread
 from .atomic import atomic_write
 from .covariance import CovarianceMatrix, window_covariance
 from .errors import CovDenoiseError, ParameterError
-from .estimators import make_estimator, network_mode
+from .estimators import make_estimator, network_mode, validated_sample
 from .ingest import ReturnsPanel, is_iso_date, write_dated_table
 from .portfolio import PerformanceMetrics, WeightVector, mvp_plus_weights, portfolio_metrics
 from .spectral import cov_to_corr, invert_permutation, spectral_seriation
@@ -213,8 +213,9 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
             )
         with single_blas_thread():
             estimator = make_estimator(config.estimator, config.t_in, weights=weights_net)
-            sample = CovarianceMatrix(
-                window_covariance(in_sample if order is None else in_sample[order, :]), "sample"
+            sample = validated_sample(
+                config.estimator,
+                window_covariance(in_sample if order is None else in_sample[order, :]),
             )
             eigenvalues = sample.eigenvalues
             window_diag["in_sample_condition"] = float(

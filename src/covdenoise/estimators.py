@@ -8,10 +8,12 @@ estimate of the rotation-equivariant optimum that remains well behaved for
 heterogeneous spectra and in the singular p > n regime.
 
 One private table maps every estimator name to the mode of the network it
-needs (``"covariance"``, ``"eigenvectors"`` or none) and to its estimate
-function; each ``2s-<first>`` entry is derived from its first stage, whose
-estimate is kept in the sample's cache so that the two-step estimator on a
-sample reuses the first-stage estimate already made from it.
+needs (``"covariance"``, ``"eigenvectors"`` or none), to its estimate
+function, and to whether that reads the sample's eigenvectors, which decides
+how :func:`validated_sample` validates a sample for it.  Each
+``2s-<first>`` entry is derived from its first stage, whose estimate is kept
+in the sample's cache so that the two-step estimator on a sample reuses the
+first-stage estimate already made from it.
 :func:`network_mode` is the one place a name is validated, and
 :func:`make_estimator` checks that the weights it binds were trained in that
 mode.  Entries reach the estimate functions through their module-global
@@ -74,11 +76,13 @@ def estimate_naive(s: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def estimate_lp(s: CovarianceMatrix, n: int) -> CovarianceMatrix:
-    """Nonlinear shrinkage of the sample spectrum; sample eigenvectors kept."""
+    """Nonlinear shrinkage of the sample spectrum; sample eigenvectors kept.
+
+    The estimate is recomposed from the sample's orthonormal eigenvectors, so
+    its eigenvalues are the shrunk values and no LAPACK call validates it."""
     dec = eigendecompose_sym(s)
     shrunk = shrink_eigenvalues(dec.eigenvalues[::-1], n)[::-1]
-    values = symmetrize((dec.eigenvectors * shrunk) @ dec.eigenvectors.T)
-    return CovarianceMatrix(values, "estimator:lp")
+    return CovarianceMatrix.recomposed(shrunk, dec.eigenvectors, "estimator:lp")
 
 
 def filter_correlation(corr: np.ndarray) -> np.ndarray:
@@ -134,6 +138,7 @@ def estimate_hybrid(s: CovarianceMatrix, n: int, weights) -> CovarianceMatrix:
 class _Entry(NamedTuple):
     mode: str | None  # DenoiserConfig.mode of the network needed, or None
     estimate: Callable[[CovarianceMatrix, int, Any], CovarianceMatrix]  # (s, n, weights)
+    vectors: bool = False  # whether the estimate reads the sample's eigenvectors
 
 
 def _kept(name: str, stage: _Entry) -> _Entry:
@@ -151,22 +156,22 @@ def _kept(name: str, stage: _Entry) -> _Entry:
         s._cache[key] = (weights, result)
         return result
 
-    return _Entry(stage.mode, estimate)
+    return stage._replace(estimate=estimate)
 
 
 def _two_step(first: str, stage: _Entry) -> _Entry:
     """The first stage followed by the hierarchical filter."""
     provenance = f"estimator:2s-{first}"
-    return _Entry(
-        stage.mode, lambda s, n, w: estimate_alca(stage.estimate(s, n, w)).retagged(provenance)
+    return stage._replace(
+        estimate=lambda s, n, w: estimate_alca(stage.estimate(s, n, w)).retagged(provenance)
     )
 
 
 _ESTIMATORS = {
     "naive": _Entry(None, lambda s, n, w: estimate_naive(s)),
-    "lp": _Entry(None, lambda s, n, w: estimate_lp(s, n)),
+    "lp": _Entry(None, lambda s, n, w: estimate_lp(s, n), vectors=True),
     "cnn": _Entry("covariance", lambda s, n, w: estimate_cnn(s, w)),
-    "hybrid": _Entry("eigenvectors", lambda s, n, w: estimate_hybrid(s, n, w)),
+    "hybrid": _Entry("eigenvectors", lambda s, n, w: estimate_hybrid(s, n, w), vectors=True),
     "alca": _Entry(None, lambda s, n, w: estimate_alca(s)),
 }
 for first in ("lp", "cnn", "hybrid"):
@@ -181,6 +186,17 @@ def network_mode(name: str) -> str | None:
     if name not in _ESTIMATORS:
         raise ParameterError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     return _ESTIMATORS[name].mode
+
+
+def validated_sample(name: str, values) -> CovarianceMatrix:
+    """The sample covariance ``values`` as a ``"sample"`` CovarianceMatrix for
+    estimator ``name``: validated from one ``eigh`` whose spectrum is cached
+    (:meth:`CovarianceMatrix.decomposed`) when the estimator reads the
+    sample's eigenvectors, from ``eigvalsh`` otherwise."""
+    network_mode(name)
+    if _ESTIMATORS[name].vectors:
+        return CovarianceMatrix.decomposed(values, "sample")
+    return CovarianceMatrix(values, "sample")
 
 
 def _check_weights(name: str, weights) -> None:

@@ -8,9 +8,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .covariance import as_matrix
 from .errors import ParameterError, SolverError
 from .ingest import format_row
-from .spectral import EIGENVALUE_FLOOR, floored_spectrum
+from .spectral import EIGENVALUE_FLOOR, floored_eigenvalues, floored_spectrum
 
 BUDGET_TOL = 1e-8
 # a blocked coordinate is released while its multiplier is below -RELEASE_TOL * lam,
@@ -64,12 +65,18 @@ def mvp_plus_weights(
     grown past ``REFACTOR_TOL`` the free block is inverted afresh.
 
     Without ``support`` every coordinate starts free, at uniform weights, and
-    ``inv`` is the inverse of the floored spectrum.  A boolean ``support``
-    (say, the previous rebalance's ``weights > 0``) warm-starts the solver at
-    uniform weights on those coordinates, with the free block inverted once
-    (:func:`_free_block_inverse`).  The warm start runs only while fewer
-    coordinates are free than sigma has eigenvalues above the floor (its
-    rank): there the free block is well conditioned and the optimum well
+    ``inv`` is the inverse of the floored spectrum, whose recomposition is the
+    matrix the solver works on.  A boolean ``support`` (say, the previous
+    rebalance's ``weights > 0``) warm-starts the solver at uniform weights on
+    those coordinates, with the free block inverted once
+    (:func:`_free_block_inverse`).  The warm start reads sigma's floored
+    validation eigenvalues (:func:`~covdenoise.spectral.floored_eigenvalues`)
+    and no eigenvectors: when none is floored it works on sigma's values
+    themselves, and only where the floor binds on the floored spectrum's
+    recomposition.  Which path runs depends on those eigenvalues alone, never
+    on whether sigma's spectrum happens to be cached.  The warm start runs only
+    while fewer coordinates are free than sigma has eigenvalues above the floor
+    (its rank): there the free block is well conditioned and the optimum well
     determined, and the warm start ends on the all-free start's weights to
     rounding.  A support that is empty or reaches the rank starts all free; a
     warm start that would release up to the rank, or that runs p iterations
@@ -85,21 +92,29 @@ def mvp_plus_weights(
     most negative multiplier leaves first, lowest index on ties, so the
     pivoting is deterministic and terminates exactly.
     """
-    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
-    quad = (vectors * eigenvalues) @ vectors.T  # PD version of sigma used by the solver
-    p = quad.shape[0]
+    p = as_matrix(sigma).shape[0]
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)
-    rank = int(np.count_nonzero(eigenvalues > EIGENVALUE_FLOOR * eigenvalues[-1]))
-    free = _starting_support(support, p, rank)
-    if free is not None:
-        inv = _free_block_inverse(quad, free)[0]
-        weights, used = _active_set(quad, free, inv, min(cap, p), rank)
-        if weights is not None:
-            return WeightVector(weights, long_only=True)
-        cap -= used
-    inv = (vectors / eigenvalues) @ vectors.T
-    weights, _ = _active_set(quad, np.ones(p, dtype=bool), inv, cap, rank)
+    if support is not None:
+        eigenvalues = floored_eigenvalues(sigma, "sigma")
+        rank = int(np.count_nonzero(eigenvalues > EIGENVALUE_FLOOR * eigenvalues[-1]))
+        free = _starting_support(support, p, rank)
+        if free is not None:
+            quad = as_matrix(sigma) if rank == p else _floored(sigma)[0]
+            inv = _free_block_inverse(quad, free)[0]
+            weights, used = _active_set(quad, free, inv, min(cap, p), rank)
+            if weights is not None:
+                return WeightVector(weights, long_only=True)
+            cap -= used
+    quad, inv = _floored(sigma)
+    weights, _ = _active_set(quad, np.ones(p, dtype=bool), inv, cap, p)
     return WeightVector(weights, long_only=True)
+
+
+def _floored(sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The positive definite matrix the all-free start works on, V diag(l) V'
+    for sigma's floored spectrum (l, V), and its inverse."""
+    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
+    return (vectors * eigenvalues) @ vectors.T, (vectors / eigenvalues) @ vectors.T
 
 
 def _active_set(

@@ -505,20 +505,40 @@ def _count_lapack(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "estimator, eigh, eigvalsh", [("naive", 1, 1), ("alca", 1, 2), ("2s-lp", 2, 3)]
+    "estimator, eigh, eigvalsh", [("naive", 1, 1), ("alca", 1, 2), ("2s-lp", 2, 1)]
 )
 def test_each_window_matrix_is_decomposed_once(rng, monkeypatch, estimator, eigh, eigvalsh):
-    # naive: the sample's validation, whose eigenvalues give the condition
-    # number, and the spectrum the allocation reads; alca allocates on its
-    # estimate, so the sample needs no spectrum; 2s-lp adds the validation
-    # of both stages and the sample spectrum of its first stage
+    # five iid assets all hold weight, so every QP is the cold all-free start,
+    # which reads its estimate's spectrum: naive, the sample's validation,
+    # whose eigenvalues give the condition number, and the spectrum of the
+    # same values; alca validates its estimate too; 2s-lp validates the sample
+    # from the one eigh its lp stage reads, recomposes lp without LAPACK, and
+    # validates the filtered estimate
     panel = iid_panel(rng, 5, 200)
     config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
                                t_in=40, t_out=30, delta_t=30)
     counts = _count_lapack(monkeypatch)
     report = walk_forward(panel, config)
     windows = len(report.rebalance_dates)
+    assert all(np.all(allocation.weights > 0) for allocation in report.weight_history)
     assert counts == {"eigh": eigh * windows, "eigvalsh": eigvalsh * windows}
+
+
+@pytest.mark.parametrize("estimator, eigh", [("naive", 0), ("2s-lp", 1)])
+def test_warm_windows_decompose_only_the_sample_an_estimator_reads(monkeypatch, estimator, eigh):
+    # on a full-rank correlated panel the support stays below the rank, so
+    # every QP after the first warm-starts on its estimate's values and reads
+    # the validation eigenvalues alone: a naive warm window calls no eigh, a
+    # 2s-lp one only the sample's; the first, cold window adds one
+    panel = correlated_panel(0, 20, 60 + 20 * 7)
+    config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
+                               t_in=60, t_out=7, delta_t=7)
+    counts = _count_lapack(monkeypatch)
+    report = walk_forward(panel, config)
+    windows = len(report.rebalance_dates)
+    assert windows == 20
+    assert all(np.count_nonzero(allocation.weights) < 20 for allocation in report.weight_history)
+    assert counts == {"eigh": eigh * windows + 1, "eigvalsh": windows}
 
 
 def test_seriation_validates_only_the_unpermuted_estimate(rng, monkeypatch):

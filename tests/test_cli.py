@@ -408,14 +408,16 @@ def _digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
 
-# sha256 of each file.  The report digests were recorded when mv_loss came to
-# read the estimate's eigenvalues (test_simulate_rows_match_the_reference_loss
-# bounds the move); the diagnostics digests date from before the CSV writers
-# shared one codec.  With p=60 and n=200 every alca and 2s-lp realization
-# fails, so their rows are all nan.
+# sha256 of each file.  The report digests were recorded when the lp estimate
+# came to take its shrunk values as its eigenvalues, which moved the lp row's
+# MV columns by rounding (mean 1.7e-16, se 1.6e-15 relative;
+# test_simulate_rows_match_the_reference_loss bounds the move); the
+# diagnostics digests date from before the CSV writers shared one codec.  With
+# p=60 and n=200 every alca and 2s-lp realization fails, so their rows are
+# all nan.
 GOLDEN_SIMULATE_FILES = {
-    "report.csv": "876f823de474064b8f05635a46597f243c2c531598d915c59251eff8eee5359c",
-    "report.json": "f8cdda3cf6f37b5e09b78e10c5e282289b858c6fa30ddfadf242b017e02562a6",
+    "report.csv": "39e3c5516bc1df046575cbd710d108a5fcf0d31f3f545c2211f76df0ff8e8e4f",
+    "report.json": "0f804824f1119e4ac398880cd28bfc05c1ec9f24740cb61b7bdd0832961998d6",
     "scree.csv": "d766928bb29032a57a82e43c20138490e7121dbf1570f83c27dabc6d068e6e32",
     "dendrogram.csv": "fa624b028adc37c5837bf80aac3b221367d25c434a79f5c52ca051d03cb615b8",
 }

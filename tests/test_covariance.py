@@ -105,3 +105,69 @@ def test_window_covariance_rejects_a_zero_variance_asset(rng):
     returns[1] = 0.0
     with pytest.raises(DataError, match="zero variance"):
         window_covariance(returns)
+
+
+INVALID = [
+    (np.ones((2, 3)), "must be square"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), "not symmetric"),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), "diagonal must be strictly positive"),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), r"not positive semidefinite \(min eig -1.000e\+00"),
+]
+
+
+@pytest.mark.parametrize("values, message", INVALID)
+def test_decomposed_matrix_rejects_what_the_constructor_rejects(values, message):
+    with pytest.raises(ParameterError, match=message):
+        CovarianceMatrix(values, "sample")
+    with pytest.raises(ParameterError, match=message):
+        CovarianceMatrix.decomposed(values)
+
+
+def test_decomposed_matrix_is_validated_from_its_one_eigh(rng, monkeypatch):
+    values = random_psd(rng, 6)
+    counts = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, _real=real, _name=name: counts.append(_name) or _real(m))
+    s = CovarianceMatrix.decomposed(values)
+    assert s.eigenvalues is s.spectrum[0]
+    assert not s.eigenvalues.flags.writeable and not s.spectrum[1].flags.writeable
+    spectral.eigendecompose_sym(s.retagged("estimator:naive"))
+    assert counts == ["eigh"]
+    assert s.provenance == "sample" and s.dim == 6
+    assert np.array_equal(s.values, values) and not s.values.flags.writeable
+    plain = CovarianceMatrix(values, "sample")
+    assert np.array_equal(s.spectrum[0], plain.spectrum[0])
+    assert np.array_equal(s.spectrum[1], plain.spectrum[1])
+
+
+def test_lp_estimate_takes_its_shrunk_values_as_eigenvalues(monkeypatch):
+    n = 30
+    for p in (8, 40):  # p < n and p > n
+        s = sample_covariance(build_block_model((p // 2, p - p // 2), 0.3), n, p).sample
+        s.spectrum
+
+        def no_validation(*args, **kwargs):
+            raise AssertionError("the lp estimate was validated by eigvalsh")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigvalsh", no_validation)
+            estimate = estimate_lp(s, n)
+        reference = np.linalg.eigvalsh(estimate.values)
+        assert np.all(np.diff(estimate.eigenvalues) >= 0.0)
+        assert not estimate.eigenvalues.flags.writeable
+        top = reference[-1]
+        assert np.max(np.abs(estimate.eigenvalues - reference)) <= 1e-12 * top
+
+
+def test_recomposed_matrix_runs_the_checks_that_need_no_lapack():
+    vectors = np.eye(2)
+    with pytest.raises(ParameterError, match="diagonal must be strictly positive"):
+        CovarianceMatrix.recomposed(np.array([0.0, 1.0]), vectors, "estimator:lp")
+    with pytest.raises(ParameterError, match="not positive semidefinite"):
+        CovarianceMatrix.recomposed(np.array([-0.5, 2.0]), np.array([[1.0, 1.0], [1.0, -1.0]])
+                                    / np.sqrt(2.0), "estimator:lp")
+    with pytest.raises(ParameterError, match="unknown provenance"):
+        CovarianceMatrix.recomposed(np.array([1.0, 2.0]), vectors, "bogus")

@@ -93,6 +93,20 @@ def test_network_mode_rejects_unknown_names(name):
         network_mode(name)
     with pytest.raises(ParameterError, match="expected one of"):
         make_estimator(name, N)
+    with pytest.raises(ParameterError, match="expected one of"):
+        estimators.validated_sample(name, np.eye(2))
+
+
+def test_a_sample_whose_vectors_an_estimator_reads_is_validated_from_its_spectrum(rng):
+    values = random_psd(rng, 5)
+    decomposed = {
+        name for name in ESTIMATOR_NAMES
+        if "spectrum" in estimators.validated_sample(name, values)._cache
+    }
+    assert decomposed == {"lp", "hybrid", "2s-lp", "2s-hybrid"}
+    for name in ESTIMATOR_NAMES:
+        sample = estimators.validated_sample(name, values)
+        assert sample.provenance == "sample" and np.array_equal(sample.values, values)
 
 
 @pytest.mark.parametrize("name", ESTIMATOR_NAMES)

@@ -236,9 +236,11 @@ def test_monte_carlo_decomposes_sigma_once_and_each_sample_once(monkeypatch):
     # vectors (2s-lp's first stage reuses lp's estimate); the losses read
     # only eigenvalues
     assert counts["eigh"] <= 1 + m
-    # per realization: validation of the sample, lp, alca and 2s-lp's
-    # filter; 2s-lp reuses the lp estimate and retagging re-validates nothing
-    assert counts["eigvalsh"] <= 1 + 4 * m
+    # per realization: validation of the sample, alca and 2s-lp's filter; lp
+    # is recomposed from the sample spectrum and takes its shrunk values as
+    # eigenvalues, 2s-lp reuses the lp estimate and retagging re-validates
+    # nothing
+    assert counts["eigvalsh"] <= 1 + 3 * m
 
 
 @pytest.mark.parametrize("threads", [1, 2])

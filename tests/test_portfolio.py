@@ -6,6 +6,7 @@ import pytest
 
 import covdenoise.portfolio as portfolio
 from covdenoise import (
+    CovarianceMatrix,
     ParameterError,
     WeightVector,
     mvp_plus_weights,
@@ -160,6 +161,64 @@ def test_mvp_plus_support_reaching_the_rank_is_the_cold_start(rng, monkeypatch):
     all_free.clear()
     mvp_plus_weights(sigma, support=np.arange(12) < 4)
     assert all_free[0] is False
+
+
+def _flipped_supports(weights):
+    """The optimum's support with each asset in turn flipped."""
+    for flip in range(weights.size):
+        support = weights > 0
+        support[flip] = not support[flip]
+        yield support
+
+
+def test_mvp_plus_warm_start_at_full_rank_reads_eigenvalues_only(monkeypatch):
+    # no eigenvalue is floored, so the warm start works on sigma's values and
+    # lands on the cold solve, which works on the recomposed spectrum
+    rng = np.random.default_rng(11)
+    decompositions = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m, *args: decompositions.append(m) or real(m, *args))
+    warm_starts = 0
+    for _ in range(40):
+        sigma = CovarianceMatrix(random_psd(rng, int(rng.integers(4, 31)), scale_spread=1.5))
+        cold = mvp_plus_weights(sigma).weights
+        for support in _flipped_supports(cold):
+            decompositions.clear()
+            warm = mvp_plus_weights(sigma, support=support).weights
+            assert np.array_equal(warm > 0, cold > 0)
+            np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
+            if 0 < np.count_nonzero(support) < sigma.dim and decompositions == []:
+                warm_starts += 1
+    assert warm_starts > 200
+
+
+def test_mvp_plus_warm_start_does_not_depend_on_the_units_of_sigma():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        draws = rng.standard_normal((30, 40))
+        sigma = draws @ draws.T / 40
+        cold = mvp_plus_weights(sigma).weights
+        for support in itertools.islice(_flipped_supports(cold), 0, 30, 7):
+            base = mvp_plus_weights(sigma, support=support).weights
+            for scale in (1e-6, 1e-8, 1e4):
+                scaled = mvp_plus_weights(sigma * scale, support=support).weights
+                np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 60])  # rank-deficient (the floor binds) and full rank
+def test_mvp_plus_weights_do_not_depend_on_a_cached_spectrum(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        draws = rng.standard_normal((20, n))
+        values = draws @ draws.T / n
+        cold = mvp_plus_weights(values).weights
+        for support in [None, *itertools.islice(_flipped_supports(cold), 0, 20, 3)]:
+            fresh = CovarianceMatrix(values)
+            filled = CovarianceMatrix(values)
+            filled.spectrum
+            assert np.array_equal(mvp_plus_weights(fresh, support=support).weights,
+                                  mvp_plus_weights(filled, support=support).weights)
 
 
 def test_mvp_plus_rejects_a_support_of_the_wrong_length():
