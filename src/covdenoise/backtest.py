@@ -20,6 +20,14 @@ only below the estimate's rank, where it ends on the cold solve's weights to
 decides.  So a window's weights depend on the previous window's only through
 rounding.
 
+Each window decomposes each matrix at most once.  The warm start reads only
+the estimate's validation eigenvalues (it works on the estimate's values when
+none is floored), and the sample is validated from the one ``eigh`` whose
+vectors the estimator reads, when it reads them
+(:func:`~covdenoise.estimators.validated_sample`): a ``naive`` window after
+the first makes one ``eigvalsh``, a ``2s-lp`` window one ``eigh`` and one
+``eigvalsh``.  A cold start adds the ``eigh`` of its estimate.
+
 Each window's estimate, allocation and hold run on one BLAS thread; a
 ``cnn``/``hybrid`` window's training keeps the host's BLAS threads.  This is
 the package's BLAS rule, stated in :mod:`covdenoise._blas`.

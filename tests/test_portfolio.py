@@ -123,15 +123,21 @@ def test_mvp_plus_equals_closed_form_when_interior(rng):
 def test_mvp_plus_does_not_depend_on_the_units_of_sigma():
     # the release rule compares multipliers with the budget multiplier, so
     # rescaling sigma (returns in other units) leaves the weights unchanged;
-    # an absolute threshold stopped early at small scales and moved weights by 2e-2
+    # an absolute threshold stopped early at small scales and moved weights by 2e-2.
+    # The warm start, which works on sigma's values, is checked the same way
     rng = np.random.default_rng(0)
-    for _ in range(200):
+    for k in range(200):
         draws = rng.standard_normal((30, 40))
         sigma = draws @ draws.T / 40
         base = mvp_plus_weights(sigma).weights
+        near = base > 0
+        near[k % 30] = not near[k % 30]
+        warm = mvp_plus_weights(sigma, support=near).weights
         for scale in (1e-6, 1e-8, 1e4):
             scaled = mvp_plus_weights(sigma * scale).weights
             np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-14)
+            scaled = mvp_plus_weights(sigma * scale, support=near).weights
+            np.testing.assert_allclose(scaled, warm, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("support", [np.zeros(5, dtype=bool), np.ones(5, dtype=bool)])
@@ -191,19 +197,6 @@ def test_mvp_plus_warm_start_at_full_rank_reads_eigenvalues_only(monkeypatch):
             if 0 < np.count_nonzero(support) < sigma.dim and decompositions == []:
                 warm_starts += 1
     assert warm_starts > 200
-
-
-def test_mvp_plus_warm_start_does_not_depend_on_the_units_of_sigma():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        draws = rng.standard_normal((30, 40))
-        sigma = draws @ draws.T / 40
-        cold = mvp_plus_weights(sigma).weights
-        for support in itertools.islice(_flipped_supports(cold), 0, 30, 7):
-            base = mvp_plus_weights(sigma, support=support).weights
-            for scale in (1e-6, 1e-8, 1e4):
-                scaled = mvp_plus_weights(sigma * scale, support=support).weights
-                np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [8, 60])  # rank-deficient (the floor binds) and full rank
