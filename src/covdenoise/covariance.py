@@ -4,11 +4,11 @@ returns.
 A :class:`CovarianceMatrix` is frozen after validation, so its ascending
 spectrum is computed once and cached; the descending decomposition
 (:func:`~covdenoise.spectral.eigendecompose_sym` reorders it), the sampling
-root and the portfolio allocation all read it.  The eigenvalues that
-validation computes are kept too; the minimum-variance loss, the backtest's
-condition number and the long-only QP's warm start need nothing more.  A
-matrix whose eigenvectors will be read is validated from that one
-decomposition instead (:meth:`CovarianceMatrix.decomposed`).
+root and the closed-form portfolio allocation all read it.  The eigenvalues
+that validation computes are kept too; the minimum-variance loss, the
+backtest's condition number and the long-only QP of a full-rank matrix need
+nothing more.  A matrix whose eigenvectors will be read is validated from
+that one decomposition instead (:meth:`CovarianceMatrix.decomposed`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, symmetrize
+from .covariance import PSD_REL_TOL, CovarianceMatrix, symmetrize, window_covariance
 from .errors import NumericError, ParameterError
 from .randomness import generator
 
@@ -156,7 +156,7 @@ def build_powerlaw_model(p: int, alpha: float, seed: int) -> CovarianceMatrix:
 def matrix_sqrt_psd(sigma: CovarianceMatrix) -> np.ndarray:
     """Symmetric PSD square root from the cached spectrum; clamps tiny negatives."""
     eigenvalues, vectors = sigma.spectrum
-    if eigenvalues[0] < -1e-10 * max(eigenvalues[-1], 0.0):
+    if eigenvalues[0] < -PSD_REL_TOL * max(eigenvalues[-1], 0.0):
         raise NumericError(
             f"matrix square root of a non-PSD input (min eig {eigenvalues[0]:.3e})"
         )
@@ -171,5 +171,5 @@ def sample_covariance(sigma: CovarianceMatrix, n: int, seed: int) -> SampleDraw:
     root = matrix_sqrt_psd(sigma)
     x = generator(seed).standard_normal((sigma.dim, n))
     y = root @ x
-    sample = symmetrize(y @ y.T / n)
-    return SampleDraw(data=y, sample=CovarianceMatrix(sample, "sample"), n=n, seed=seed)
+    sample = CovarianceMatrix(window_covariance(y), "sample")
+    return SampleDraw(data=y, sample=sample, n=n, seed=seed)

@@ -17,8 +17,6 @@ BUDGET_TOL = 1e-8
 # a blocked coordinate is released while its multiplier is below -RELEASE_TOL * lam,
 # lam = w'Qw the budget multiplier: relative, so the answer ignores the units of sigma
 RELEASE_TOL = 1e-9
-# relative residual past which the long-only QP inverts its free block afresh
-REFACTOR_TOL = 1e-12
 # the crypto calendar: these markets trade every day, so a year is 365 daily returns
 DAYS_PER_YEAR = 365
 
@@ -56,32 +54,26 @@ def mvp_plus_weights(
     """Long-only minimum-variance weights by a primal active-set method.
 
     Each iteration moves towards the closed-form optimum on the free
-    coordinates, inv 1 / (1' inv 1), where ``inv`` is the inverse of the free
-    block held in a p x p workspace with zero rows and columns for blocked
-    coordinates.  ``inv`` is updated, not re-solved: blocking a coordinate is
-    a Schur-complement downdate (:func:`_block`), releasing one a bordering
-    update (:func:`_release`), O(p^2) each.  Downdates of a near-singular start
-    lose accuracy, so at each stationary point whose free-block residual has
-    grown past ``REFACTOR_TOL`` the free block is inverted afresh.
+    coordinates, x / (1'x) with quad_FF x = 1.  The free block is solved
+    afresh (one LU, ``np.linalg.solve``) at the start and after each block
+    or release, and a full step leaves it as it is.  ``quad`` is sigma's own
+    values when none of sigma's validation eigenvalues is floored
+    (:func:`~covdenoise.spectral.floored_eigenvalues`), so a full-rank sigma
+    is never decomposed; only where the floor binds is it the recomposition
+    of the floored spectrum.  Which matrix is used depends on those
+    eigenvalues alone, never on whether sigma's spectrum is cached.
 
-    Without ``support`` every coordinate starts free, at uniform weights, and
-    ``inv`` is the inverse of the floored spectrum, whose recomposition is the
-    matrix the solver works on.  A boolean ``support`` (say, the previous
-    rebalance's ``weights > 0``) warm-starts the solver at uniform weights on
-    those coordinates, with the free block inverted once
-    (:func:`_free_block_inverse`).  The warm start reads sigma's floored
-    validation eigenvalues (:func:`~covdenoise.spectral.floored_eigenvalues`)
-    and no eigenvectors: when none is floored it works on sigma's values
-    themselves, and only where the floor binds on the floored spectrum's
-    recomposition.  Which path runs depends on those eigenvalues alone, never
-    on whether sigma's spectrum happens to be cached.  The warm start runs only
-    while fewer coordinates are free than sigma has eigenvalues above the floor
-    (its rank): there the free block is well conditioned and the optimum well
-    determined, and the warm start ends on the all-free start's weights to
-    rounding.  A support that is empty or reaches the rank starts all free; a
-    warm start that would release up to the rank, or that runs p iterations
-    (more than an all-free start pivots), is dropped for the all-free start,
-    which gets what is left of ``max_iterations``.
+    Without ``support`` every coordinate starts free, at uniform weights.  A
+    boolean ``support`` (say, the previous rebalance's ``weights > 0``)
+    warm-starts the solver at uniform weights on those coordinates.  The warm
+    start runs only while fewer coordinates are free than sigma has
+    eigenvalues above the floor (its rank): there the free block is well
+    conditioned and the optimum well determined, and the warm start ends on
+    the all-free start's weights to rounding.  A support that is empty or
+    reaches the rank starts all free; a warm start that would release up to
+    the rank, or that runs p iterations (more than an all-free start pivots),
+    is dropped for the all-free start, which gets what is left of
+    ``max_iterations``.
 
     A coordinate is blocked at the first boundary crossing: the ratio test
     keeps the first falling coordinate, in index order, whose ratio lies more
@@ -94,35 +86,28 @@ def mvp_plus_weights(
     """
     p = as_matrix(sigma).shape[0]
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)
-    if support is not None:
-        eigenvalues = floored_eigenvalues(sigma, "sigma")
-        rank = int(np.count_nonzero(eigenvalues > EIGENVALUE_FLOOR * eigenvalues[-1]))
-        free = _starting_support(support, p, rank)
-        if free is not None:
-            quad = as_matrix(sigma) if rank == p else _floored(sigma)[0]
-            inv = _free_block_inverse(quad, free)[0]
-            weights, used = _active_set(quad, free, inv, min(cap, p), rank)
-            if weights is not None:
-                return WeightVector(weights, long_only=True)
-            cap -= used
-    quad, inv = _floored(sigma)
-    weights, _ = _active_set(quad, np.ones(p, dtype=bool), inv, cap, p)
+    eigenvalues = floored_eigenvalues(sigma, "sigma")
+    rank = int(np.count_nonzero(eigenvalues > EIGENVALUE_FLOOR * eigenvalues[-1]))
+    if rank == p:
+        quad = as_matrix(sigma)
+    else:
+        floored, vectors = floored_spectrum(sigma, "sigma")
+        quad = (vectors * floored) @ vectors.T
+    free = _starting_support(support, p, rank)
+    if free is not None:
+        weights, used = _active_set(quad, free, min(cap, p), rank)
+        if weights is not None:
+            return WeightVector(weights, long_only=True)
+        cap -= used
+    weights, _ = _active_set(quad, np.ones(p, dtype=bool), cap, p)
     return WeightVector(weights, long_only=True)
 
 
-def _floored(sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The positive definite matrix the all-free start works on, V diag(l) V'
-    for sigma's floored spectrum (l, V), and its inverse."""
-    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
-    return (vectors * eigenvalues) @ vectors.T, (vectors / eigenvalues) @ vectors.T
-
-
 def _active_set(
-    quad: np.ndarray, free: np.ndarray, inv: np.ndarray, cap: int, rank: int
+    quad: np.ndarray, free: np.ndarray, cap: int, rank: int
 ) -> tuple[np.ndarray | None, int]:
     """The pivot loop of :func:`mvp_plus_weights` from uniform weights on the
-    ``free`` coordinates, whose block has inverse ``inv`` in the p x p
-    workspace; ``free`` and ``inv`` are updated in place.
+    ``free`` coordinates; ``free`` is updated in place.
 
     Returns the optimal weights and the iterations taken.  A warm start
     (``free`` not all true) returns None for the weights where a release
@@ -131,12 +116,9 @@ def _active_set(
     """
     warm = not free.all()
     weights = free / np.count_nonzero(free)
-    solved = inv.sum(axis=1)
+    solved = _free_block_solve(quad, free)
     for iteration in range(1, cap + 1):
         step = solved / solved.sum() - weights
-        if np.abs(step).max() <= 1e-14 and _drifted(quad, solved, free):
-            inv, solved = _free_block_inverse(quad, free)
-            step = solved / solved.sum() - weights
         if np.abs(step).max() <= 1e-14:
             gradient = quad @ weights
             lam = float(weights @ gradient)  # active-set multiplier of the budget constraint
@@ -146,9 +128,8 @@ def _active_set(
                 return np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum(), iteration
             if warm and np.count_nonzero(free) + 1 >= rank:
                 return None, iteration
-            release = blocked[np.argmin(multipliers[blocked])]
-            _release(inv, solved, quad, release)
-            free[release] = True
+            free[blocked[np.argmin(multipliers[blocked])]] = True
+            solved = _free_block_solve(quad, free)
             continue
         falling = (step < 0.0).nonzero()[0]
         limit, blocker = _ratio_test(falling, weights[falling] / -step[falling])
@@ -156,13 +137,21 @@ def _active_set(
         if blocker >= 0:
             weights[blocker] = 0.0
             free[blocker] = False
-            _block(inv, solved, blocker)
+            solved = _free_block_solve(quad, free)
         np.maximum(weights, 0.0, out=weights)
         weights /= weights.sum()
     if warm:
         return None, cap
     residual = _kkt_residual(quad, weights)
     raise SolverError(f"active-set solver hit the iteration cap (KKT residual {residual:.3e})")
+
+
+def _free_block_solve(quad: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """x with quad_FF x_F = 1 on the ``free`` coordinates F and 0 elsewhere."""
+    solved = np.zeros(free.size)
+    index = np.flatnonzero(free)
+    solved[index] = np.linalg.solve(quad[np.ix_(index, index)], np.ones(index.size))
+    return solved
 
 
 def _starting_support(support, p: int, rank: int) -> np.ndarray | None:
@@ -179,43 +168,6 @@ def _starting_support(support, p: int, rank: int) -> np.ndarray | None:
     if not free.any() or np.count_nonzero(free) >= rank:
         return None
     return free
-
-
-def _block(inv: np.ndarray, solved: np.ndarray, r: int) -> None:
-    """Remove free coordinate ``r`` from ``inv`` and its row sums ``solved``,
-    in place: inv - c c' / c_r with c = inv[:, r].  Column r cancels exactly
-    (c_r / c_r is 1); row r, off by rounding, is zeroed."""
-    column = inv[:, r].copy()
-    inv -= column[:, None] * (column / column[r])
-    solved -= column * (solved[r] / column[r])
-    inv[r, :] = 0.0
-    solved[r] = 0.0
-
-
-def _release(inv: np.ndarray, solved: np.ndarray, quad: np.ndarray, j: int) -> None:
-    """Add blocked coordinate ``j`` to ``inv`` and its row sums ``solved``, in
-    place, by bordering: with u = inv quad[:, j] and s = quad[j, j] - quad[:, j]'u,
-    the new inverse is inv + v v' / s for v = u with v_j = -1."""
-    border = inv @ quad[:, j]
-    schur = quad[j, j] - quad[:, j] @ border
-    border[j] = -1.0
-    inv += border[:, None] * (border / schur)
-    solved += border * (border.sum() / schur)
-
-
-def _drifted(quad: np.ndarray, solved: np.ndarray, free: np.ndarray) -> bool:
-    """Whether ``solved`` no longer solves quad_FF x = 1 to ``REFACTOR_TOL``,
-    relative to |quad|max |x|_1 + 1."""
-    residual = np.abs((quad @ solved)[free] - 1.0).max()
-    return residual > REFACTOR_TOL * (np.abs(quad).max() * np.abs(solved).sum() + 1.0)
-
-
-def _free_block_inverse(quad: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The free block's inverse, factored afresh, in the p x p workspace, and its row sums."""
-    index = np.ix_(free, free)
-    inv = np.zeros_like(quad)
-    inv[index] = np.linalg.inv(quad[index])
-    return inv, inv.sum(axis=1)
 
 
 def _ratio_test(falling: np.ndarray, ratios: np.ndarray) -> tuple[float, int]:

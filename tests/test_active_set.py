@@ -1,11 +1,13 @@
-"""The long-only QP's factor updates and ratio test against the solver they
-replaced, which solved the free block afresh at every pivot and scanned the
-ratios in a Python loop (``conftest.solve_per_pivot``, the oracle)."""
+"""The long-only QP's pivots, ratio test and warm starts against the oracle
+``conftest.solve_per_pivot``, which always starts from every asset free,
+works on the recomposed floored spectrum and scans the ratios in a Python
+loop."""
 
 import numpy as np
 import pytest
 
 from covdenoise import SolverError, mvp_plus_weights, portfolio
+from covdenoise.covariance import window_covariance
 from covdenoise.spectral import EIGENVALUE_FLOOR
 from conftest import random_psd, scan, solve_per_pivot
 from test_portfolio import kkt_residual
@@ -13,27 +15,34 @@ from test_portfolio import kkt_residual
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Pivot path of mvp_plus_weights in the oracle's notation, plus refactor count."""
-    record = {"path": [], "refactors": 0}
-    ratio_test, release, refactor = (portfolio._ratio_test, portfolio._release,
-                                     portfolio._free_block_inverse)
+    """Pivot path of mvp_plus_weights in the oracle's notation, plus the size
+    of each free block it solves.  A release shows as a solve whose free set
+    has grown since the last solve of the same start."""
+    record = {"path": [], "solves": [], "free": None}
+    ratio_test, free_block_solve, active_set = (portfolio._ratio_test,
+                                                portfolio._free_block_solve,
+                                                portfolio._active_set)
 
     def traced_ratio_test(falling, ratios):
         limit, blocker = ratio_test(falling, ratios)
         record["path"].append(("block", blocker))
         return limit, blocker
 
-    def traced_release(inv, solved, quad, j):
-        record["path"].append(("release", int(j)))
-        release(inv, solved, quad, j)
+    def traced_solve(quad, free):
+        if record["free"] is not None:
+            released = np.flatnonzero(free & ~record["free"])
+            record["path"].extend(("release", int(j)) for j in released)
+        record["free"] = free.copy()
+        record["solves"].append(int(np.count_nonzero(free)))
+        return free_block_solve(quad, free)
 
-    def traced_refactor(quad, free):
-        record["refactors"] += 1
-        return refactor(quad, free)
+    def traced_active_set(quad, free, cap, rank):
+        record["free"] = None
+        return active_set(quad, free, cap, rank)
 
     monkeypatch.setattr(portfolio, "_ratio_test", traced_ratio_test)
-    monkeypatch.setattr(portfolio, "_release", traced_release)
-    monkeypatch.setattr(portfolio, "_free_block_inverse", traced_refactor)
+    monkeypatch.setattr(portfolio, "_free_block_solve", traced_solve)
+    monkeypatch.setattr(portfolio, "_active_set", traced_active_set)
     return record
 
 
@@ -93,25 +102,6 @@ def test_ratio_test_matches_the_scan_on_random_vectors():
         assert (limit, blocker) == scan(falling, ratios)
 
 
-# --- factor updates -----------------------------------------------------------
-
-def test_block_and_release_keep_the_inverse_of_the_free_block(rng):
-    quad = random_psd(rng, 7, scale_spread=1.0)
-    inv, solved = np.linalg.inv(quad), np.linalg.inv(quad).sum(axis=1)
-    free = np.ones(7, dtype=bool)
-    for kind, asset in (("block", 2), ("block", 5), ("release", 2), ("block", 0)):
-        if kind == "block":
-            portfolio._block(inv, solved, asset)
-        else:
-            portfolio._release(inv, solved, quad, asset)
-        free[asset] = kind == "release"
-        expected = np.zeros_like(quad)
-        expected[np.ix_(free, free)] = np.linalg.inv(quad[np.ix_(free, free)])
-        assert np.array_equal(inv == 0.0, expected == 0.0)
-        np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(solved, expected.sum(axis=1), rtol=0, atol=1e-12)
-
-
 # --- the QP against the oracle -----------------------------------------------
 
 def assert_matches_oracle(sigma, traced, atol=1e-12):
@@ -141,9 +131,12 @@ def test_qp_matches_the_oracle_on_positively_correlated_windows(traced):
         returns = rng.standard_normal((99, 182)) * rng.uniform(0.02, 0.06, (99, 1))
         returns += rng.uniform(0.6, 1.4, (99, 1)) * 0.035 * rng.standard_normal(182)
         sample = np.cov(returns)
+        traced["solves"].clear()
         path = assert_matches_oracle(sample, traced)
         assert traced["path"] == path
         assert len(path) > 20
+        # one solve to start and one per block or release; a full step keeps the block
+        assert len(traced["solves"]) == 1 + sum(asset >= 0 for _, asset in path)
 
 
 def test_qp_takes_the_release_branch_like_the_oracle(traced):
@@ -173,21 +166,29 @@ def test_qp_matches_the_oracle_on_rank_deficient_samples(traced):
         well_determined += determined
         assert_matches_oracle(sigma, traced, atol=1e-12 if determined else None)
     assert well_determined >= 30
-    assert traced["refactors"] > 0
 
 
-def test_downdates_from_a_singular_start_are_refactored(traced, monkeypatch):
-    rng = np.random.default_rng(3)
-    sigma = rank_deficient_sample(rng, 40, 25)
-    expected, _ = solve_per_pivot(sigma)
-    assert np.count_nonzero(expected) < 24
-    weights = mvp_plus_weights(sigma).weights
-    assert traced["refactors"] == 1
-    np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
-    # without the refactor the downdated inverse has drifted far past 1e-12
-    monkeypatch.setattr(portfolio, "_drifted", lambda quad, solved, free: False)
-    drifted = mvp_plus_weights(sigma).weights
-    assert np.max(np.abs(drifted - expected)) > 1e-9
+def test_qp_matches_the_oracle_on_near_singular_full_rank_windows(traced):
+    # a backtest window with barely more days than assets: full rank, so the
+    # QP works on the window's own values and the oracle on its recomposed
+    # spectrum, yet conditioned up to 1e5-1e6
+    rng = np.random.default_rng(17)
+    condition = []
+    for _ in range(40):
+        p = int(rng.integers(10, 81))
+        t_in = p + int(rng.integers(1, 4))
+        returns = rng.standard_normal((p, t_in)) * rng.uniform(0.02, 0.06, (p, 1))
+        returns += rng.uniform(0.6, 1.4, (p, 1)) * 0.035 * rng.standard_normal(t_in)
+        sigma = window_covariance(returns)
+        eigenvalues = np.linalg.eigvalsh(sigma)
+        assert eigenvalues[0] > EIGENVALUE_FLOOR * eigenvalues[-1]
+        condition.append(eigenvalues[-1] / eigenvalues[0])
+        path = assert_matches_oracle(sigma, traced)
+        assert traced["path"] == path
+        weights = mvp_plus_weights(sigma).weights
+        lam = float(weights @ sigma @ weights)
+        assert kkt_residual(sigma / lam, weights) <= 1e-12
+    assert max(condition) > 1e5
 
 
 def test_iteration_cap_raises_with_the_kkt_residual():
@@ -214,9 +215,9 @@ def test_warm_starts_next_to_the_optimum_match_the_cold_solve_on_rank_deficient_
     starts = []
     active_set = portfolio._active_set
 
-    def recording(quad, free, inv, cap, rank):
+    def recording(quad, free, cap, rank):
         warm = not free.all()
-        weights, used = active_set(quad, free, inv, cap, rank)
+        weights, used = active_set(quad, free, cap, rank)
         starts.append((warm, weights is not None))
         return weights, used
 
@@ -273,8 +274,8 @@ def test_a_warm_start_on_the_optimal_support_takes_no_pivot(traced):
     cold = mvp_plus_weights(sigma).weights
     assert 0 < np.count_nonzero(cold) < 20
     traced["path"].clear()
-    traced["refactors"] = 0
+    traced["solves"].clear()
     warm = mvp_plus_weights(sigma, support=cold > 0).weights
     assert traced["path"] == [("block", -1)]  # one full step from uniform to the optimum
-    assert traced["refactors"] == 1  # the starting block, inverted once
+    assert traced["solves"] == [np.count_nonzero(cold)]  # the starting block, solved once
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-14)

@@ -350,14 +350,15 @@ def test_every_report_file_is_replaced_atomically(tmp_path, rng, monkeypatch):
 
 
 # sha256 of the report files of this backtest; the diagnostics file is not
-# pinned.  Recorded again when the QP began updating its free-block inverse:
-# weights moved by at most 3.3e-16 and daily returns by 4.4e-16, and
-# test_pinned_report_matches_the_solve_per_pivot_oracle checks them
+# pinned.  Recorded again when the QP began solving its free block at each
+# pivot on sigma's own values: weights moved by at most 1.7e-16 and daily
+# returns by 4.4e-16, and test_pinned_report_matches_the_solve_per_pivot_oracle
+# checks them
 GOLDEN_REPORT_FILES = {
-    "metrics.json": "02c6d08962177dbe819b2a47cd0c6bc5c7ac9d113928a5ae8142647215d27a93",
-    "weights.csv": "8caf249ac3627b9d7afe95d51a794912fb294bcdc7370be3a22659e9e7b08bb7",
-    "daily_returns.csv": "ed2718ce26152a6cf33bb3ade0ed7a2cd078ddbed03901ff34bdbbf446e598bc",
-    "wealth.csv": "d8db866e46790e7e89d86aaceb0c0ccf055254941169f90271a73cd8a8ca975b",
+    "metrics.json": "c05d07d097efa1aaf11b613850a61e114edca60d647561cd1024cc3116935cde",
+    "weights.csv": "ceb5dc475e14e5e8e8fa772d92043193e436f81513901609a40c8dbee03cb99e",
+    "daily_returns.csv": "f4423ea5fa1642accc53477e641c8001beae045109973cab19cbd9d6636264ba",
+    "wealth.csv": "0445880992b44c75364bb8d79a5e1f71b1942219e8e6f28322205a72652ac0c7",
 }
 
 
@@ -412,19 +413,20 @@ def test_warm_started_weights_match_a_cold_solve_on_every_window(
     calls = []
     blocks = {"walk_forward": 0, "cold": 0}
     phase = "walk_forward"
-    block = portfolio._block
+    ratio_test = portfolio._ratio_test
 
     def recording(sigma, support=None):
         allocation = mvp_plus_weights(sigma, support=support)
         calls.append((sigma, support, allocation.weights))
         return allocation
 
-    def counting(inv, solved, r):
-        blocks[phase] += 1
-        block(inv, solved, r)
+    def counting(falling, ratios):
+        limit, blocker = ratio_test(falling, ratios)
+        blocks[phase] += blocker >= 0
+        return limit, blocker
 
     monkeypatch.setattr(backtest, "mvp_plus_weights", recording)
-    monkeypatch.setattr(portfolio, "_block", counting)
+    monkeypatch.setattr(portfolio, "_ratio_test", counting)
     report = walk_forward(panel, config)
     assert len(calls) == len(report.weight_history) == 20
     phase = "cold"
@@ -505,15 +507,15 @@ def _count_lapack(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "estimator, eigh, eigvalsh", [("naive", 1, 1), ("alca", 1, 2), ("2s-lp", 2, 1)]
+    "estimator, eigh, eigvalsh", [("naive", 0, 1), ("alca", 0, 2), ("2s-lp", 1, 1)]
 )
 def test_each_window_matrix_is_decomposed_once(rng, monkeypatch, estimator, eigh, eigvalsh):
-    # five iid assets all hold weight, so every QP is the cold all-free start,
-    # which reads its estimate's spectrum: naive, the sample's validation,
-    # whose eigenvalues give the condition number, and the spectrum of the
-    # same values; alca validates its estimate too; 2s-lp validates the sample
-    # from the one eigh its lp stage reads, recomposes lp without LAPACK, and
-    # validates the filtered estimate
+    # five iid assets all hold weight, so every QP is the cold all-free start;
+    # its estimate is full rank, so it reads the validation eigenvalues and no
+    # spectrum: naive makes only the sample's validation, whose eigenvalues
+    # also give the condition number; alca validates its estimate too; 2s-lp
+    # validates the sample from the one eigh its lp stage reads, recomposes lp
+    # without LAPACK, and validates the filtered estimate
     panel = iid_panel(rng, 5, 200)
     config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
                                t_in=40, t_out=30, delta_t=30)
@@ -526,10 +528,10 @@ def test_each_window_matrix_is_decomposed_once(rng, monkeypatch, estimator, eigh
 
 @pytest.mark.parametrize("estimator, eigh", [("naive", 0), ("2s-lp", 1)])
 def test_warm_windows_decompose_only_the_sample_an_estimator_reads(monkeypatch, estimator, eigh):
-    # on a full-rank correlated panel the support stays below the rank, so
-    # every QP after the first warm-starts on its estimate's values and reads
-    # the validation eigenvalues alone: a naive warm window calls no eigh, a
-    # 2s-lp one only the sample's; the first, cold window adds one
+    # on a full-rank correlated panel every QP, the first cold one and the
+    # warm starts after it, works on its estimate's values and reads the
+    # validation eigenvalues alone: a naive window calls no eigh, a 2s-lp one
+    # only the sample's
     panel = correlated_panel(0, 20, 60 + 20 * 7)
     config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
                                t_in=60, t_out=7, delta_t=7)
@@ -538,7 +540,7 @@ def test_warm_windows_decompose_only_the_sample_an_estimator_reads(monkeypatch, 
     windows = len(report.rebalance_dates)
     assert windows == 20
     assert all(np.count_nonzero(allocation.weights) < 20 for allocation in report.weight_history)
-    assert counts == {"eigh": eigh * windows + 1, "eigvalsh": windows}
+    assert counts == {"eigh": eigh * windows, "eigvalsh": windows}
 
 
 def test_seriation_validates_only_the_unpermuted_estimate(rng, monkeypatch):

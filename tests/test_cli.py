@@ -249,6 +249,13 @@ def test_a_simulated_model_without_model_exits_2_naming_it(runner, tmp_path, arg
     assert f"Error: {message}" in result.output
 
 
+def test_train_on_returns_without_a_returns_file_exits_2(runner, tmp_path):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(cli, ["train", "--source", "returns", "--count", "2"])
+    assert result.exit_code == 2
+    assert "Error: --source returns requires --returns" in result.output
+
+
 def test_backtest_metrics_row(runner, tmp_path):
     returns = _returns_csv(tmp_path, runner)
     result = runner.invoke(

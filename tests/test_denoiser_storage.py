@@ -93,13 +93,55 @@ def rewrite_metadata(path, edit):
         (lambda text: text.replace("epochs=7\n", ""), "missing keys \\['epochs'\\]"),
         (lambda text: text + "dropout=0.5\n", "unknown keys \\['dropout'\\]"),
         (lambda text: text.replace("kernel=3", "kernel=4"), "kernel size must be odd, got 4"),
+        (lambda text: text + "no separator\n", "malformed metadata line 'no separator'"),
     ],
-    ids=["int-value", "float-value", "missing-key", "unknown-key", "invalid-config"],
+    ids=["int-value", "float-value", "missing-key", "unknown-key", "invalid-config",
+         "no-separator"],
 )
 def test_bad_metadata_raises_format_error_naming_the_key(tmp_path, edit, message):
     path = tmp_path / "weights.cdnw"
     save_weights(make_weights(), path)
     rewrite_metadata(path, edit)
+    with pytest.raises(WeightsFormatError, match=message):
+        load_weights(path)
+
+
+def with_checksum(body):
+    """``body`` followed by its valid CRC-32, so only the framing checks can reject it."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def saved_parts(tmp_path):
+    """The metadata block and the tensor bytes of a saved weights file."""
+    path = tmp_path / "saved.cdnw"
+    save_weights(make_weights(), path)
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    end = start + struct.unpack_from("<I", raw, len(MAGIC))[0]
+    return raw[start:end], raw[end:-4]
+
+
+def framed(meta, tensors, declared=None):
+    """Magic, the metadata length (``declared`` if given), metadata, tensors."""
+    length = len(meta) if declared is None else declared
+    return MAGIC + struct.pack("<I", length) + meta + tensors
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (lambda meta, tensors: MAGIC, "truncated"),
+        (lambda meta, tensors: framed(meta, b"", declared=len(meta) + 1000),
+         "metadata block overruns the file"),
+        (lambda meta, tensors: framed(meta, tensors[:-4]), "tensor data overruns the file"),
+        (lambda meta, tensors: framed(meta, tensors + b"\x00" * 4),
+         "trailing bytes after the declared tensors"),
+    ],
+    ids=["under-16-bytes", "metadata-overrun", "tensor-overrun", "trailing-bytes"],
+)
+def test_misframed_files_with_valid_checksums_are_rejected(tmp_path, frame, message):
+    path = tmp_path / "weights.cdnw"
+    path.write_bytes(with_checksum(frame(*saved_parts(tmp_path))))
     with pytest.raises(WeightsFormatError, match=message):
         load_weights(path)
 

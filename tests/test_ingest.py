@@ -7,6 +7,7 @@ import pytest
 
 from covdenoise import (
     DataError,
+    ParameterError,
     PricePanel,
     ReturnsPanel,
     clean_panel,
@@ -76,6 +77,33 @@ def test_panels_reject_non_increasing_dates(panel_class):
 def test_panels_reject_duplicate_symbols(panel_class):
     with pytest.raises(DataError, match="duplicate symbol 'A'"):
         _ones_panel(panel_class, ("2021-01-01", "2021-01-02"), ("A", "B", "A"))
+
+
+def test_price_panel_needs_two_dates():
+    with pytest.raises(DataError, match="at least 2 dates"):
+        PricePanel(("2021-01-01",), ("A",), np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("panel_class", [PricePanel, ReturnsPanel])
+def test_panels_reject_a_block_of_the_wrong_shape(panel_class):
+    dates, symbols = ("2021-01-01", "2021-01-02", "2021-01-03"), ("A", "B")
+    # the transpose of the block each panel expects
+    shape = (len(symbols), len(dates)) if panel_class is PricePanel else (len(dates), len(symbols))
+    with pytest.raises(DataError, match=r"block \(\d, \d\) does not match"):
+        panel_class(dates, symbols, np.ones(shape))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_returns_must_be_finite(tmp_path, value):
+    path = write_csv(tmp_path / "r.csv", f"date,A,B\n2024-01-01,0.1,{value}\n2024-01-02,0.1,0.2\n")
+    with pytest.raises(DataError, match="non-finite values"):
+        load_returns(path)
+
+
+def test_load_returns_names_the_row_of_a_non_numeric_cell(tmp_path):
+    path = write_csv(tmp_path / "r.csv", "date,A,B\n2024-01-01,0.1,0.2\n2024-01-02,0.1,abc\n")
+    with pytest.raises(DataError, match="row 3: bad return value"):
+        load_returns(path)
 
 
 def test_load_returns_rejects_duplicate_symbols_and_unordered_dates(tmp_path):
@@ -198,6 +226,30 @@ def test_clean_rejects_empty_result():
     panel = make_panel({"A": column}, days)
     with pytest.raises(DataError, match="every symbol"):
         clean_panel(panel, missing_threshold=0.01, volatility_quantile=0.0)
+
+
+@pytest.mark.parametrize(
+    "rule, kwargs",
+    [("volatility rule", dict(volatility_quantile=1.0)),
+     ("exclusion list", dict(volatility_quantile=0.0, exclusions=["A", "B"]))],
+)
+def test_clean_names_the_rule_that_removed_every_symbol(rng, rule, kwargs):
+    days = 30
+    panel = make_panel({name: np.exp(rng.normal(0, 0.01, days).cumsum()) for name in "AB"}, days)
+    with pytest.raises(DataError, match=rf"removed every symbol \({rule}\)"):
+        clean_panel(panel, missing_threshold=0.01, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(missing_threshold=-0.01), dict(missing_threshold=1.5),
+     dict(volatility_quantile=-0.1), dict(volatility_quantile=1.01)],
+)
+def test_clean_rejects_thresholds_outside_the_unit_interval(rng, kwargs):
+    days = 30
+    panel = make_panel({"A": np.exp(rng.normal(0, 0.01, days).cumsum())}, days)
+    with pytest.raises(ParameterError, match=r"thresholds must lie in \[0, 1\]"):
+        clean_panel_report(panel, **kwargs)
 
 
 def test_log_returns_basics():

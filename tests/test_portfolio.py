@@ -178,8 +178,8 @@ def _flipped_supports(weights):
 
 
 def test_mvp_plus_warm_start_at_full_rank_reads_eigenvalues_only(monkeypatch):
-    # no eigenvalue is floored, so the warm start works on sigma's values and
-    # lands on the cold solve, which works on the recomposed spectrum
+    # no eigenvalue is floored, so the warm start and the cold solve both work
+    # on sigma's values, and the warm start lands on the cold solve
     rng = np.random.default_rng(11)
     decompositions = []
     real = np.linalg.eigh
@@ -188,7 +188,9 @@ def test_mvp_plus_warm_start_at_full_rank_reads_eigenvalues_only(monkeypatch):
     warm_starts = 0
     for _ in range(40):
         sigma = CovarianceMatrix(random_psd(rng, int(rng.integers(4, 31)), scale_spread=1.5))
+        decompositions.clear()
         cold = mvp_plus_weights(sigma).weights
+        assert decompositions == []
         for support in _flipped_supports(cold):
             decompositions.clear()
             warm = mvp_plus_weights(sigma, support=support).weights
