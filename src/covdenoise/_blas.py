@@ -1,4 +1,4 @@
-"""Pin the OpenBLAS that NumPy loaded to one thread for a block of code.
+"""Reach the OpenBLAS that NumPy loaded: its thread count and its ``cblas_dgemm``.
 
 The package's BLAS rule: work is parallelized over independent units, never
 inside BLAS.  Every Monte Carlo realization and every walk-forward window's
@@ -9,11 +9,21 @@ threads; a learned estimator's forward pass, being part of an estimate, runs
 on one.
 
 The thread count is process-wide, so entries are counted under a lock: the
-first entry saves the count and sets 1, the last exit restores it.  The
-library is looked up on first use, not at import, and only among libraries
-already loaded, so a second BLAS is never loaded.  Without an OpenBLAS thread
-control (MKL, Accelerate, reference BLAS) :func:`single_blas_thread` does
-nothing.
+first entry saves the count and sets 1, the last exit restores it.
+
+:func:`add_matmul` computes ``out += a @ b`` as one ``cblas_dgemm`` call with
+beta = 1, so BLAS adds the product into ``out`` without a scratch array (NumPy's
+``matmul`` can only overwrite its ``out``).  The denoiser's convolutions sum
+their kernel taps this way.
+
+The library is looked up once, on first use, not at import, and only among
+libraries already loaded, so a second BLAS is never loaded.  The thread control
+and ``cblas_dgemm`` are taken from the same library, the gemm spelled like the
+thread control (``scipy_cblas_dgemm64_`` beside
+``scipy_openblas_get_num_threads64_``); a ``64_`` suffix means 64-bit integer
+arguments, no suffix C ``int``.  Without an OpenBLAS (MKL, Accelerate,
+reference BLAS) :func:`single_blas_thread` does nothing and :func:`add_matmul`
+computes ``out += a @ b`` with NumPy, which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -24,17 +34,27 @@ import itertools
 import logging
 import os
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 _log = logging.getLogger(__name__)
-_SYMBOL_PREFIXES = ("scipy_openblas", "openblas")
+# (thread-control prefix, CBLAS prefix) of one build's symbols
+_SYMBOL_PREFIXES = (("scipy_openblas", "scipy_cblas"), ("openblas", "cblas"))
 _SYMBOL_SUFFIXES = ("64_", "")
+_ROW_MAJOR, _NO_TRANS = 101, 111  # CBLAS_ORDER and CBLAS_TRANSPOSE values
 _lock = threading.Lock()
 _depth = 0
 _saved = 1
+
+
+class _OpenBLAS(NamedTuple):
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    gemm: Callable[..., None] | None
 
 
 def _openblas_paths() -> list[str]:
@@ -50,24 +70,78 @@ def _openblas_paths() -> list[str]:
 
 
 @functools.cache
-def _lookup():
-    """(get, set) of the loaded OpenBLAS's thread count, or None."""
+def _lookup() -> _OpenBLAS | None:
+    """The loaded OpenBLAS's thread count (get, set) and its cblas_dgemm, or None."""
     paths = _openblas_paths()
     for path in paths:
         try:
             library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # fails unless already loaded
         except (OSError, AttributeError):
             continue
-        for prefix, suffix in itertools.product(_SYMBOL_PREFIXES, _SYMBOL_SUFFIXES):
+        for (prefix, cblas), suffix in itertools.product(_SYMBOL_PREFIXES, _SYMBOL_SUFFIXES):
             names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
             if all(hasattr(library, name) for name in names):
                 get, set_ = (getattr(library, name) for name in names)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                return _OpenBLAS(get, set_, _dgemm(library, f"{cblas}_dgemm{suffix}"))
     why = f"no thread control in {paths}" if paths else "no OpenBLAS is loaded"
     _log.debug("BLAS thread count left unpinned: %s", why)
     return None
+
+
+def _dgemm(library: ctypes.CDLL, name: str) -> Callable[..., None] | None:
+    """``library``'s cblas_dgemm spelled ``name``, typed for its integer width, or None."""
+    if not hasattr(library, name):
+        _log.debug("no %s in the loaded OpenBLAS: add_matmul runs in NumPy", name)
+        return None
+    gemm = getattr(library, name)
+    # The integer type follows the name: a mismatch would corrupt memory.
+    index = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
+    enum, real, pointer = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    gemm.argtypes = [enum, enum, enum, index, index, index,
+                     real, pointer, index, pointer, index, real, pointer, index]
+    gemm.restype = None
+    return gemm
+
+
+def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``out += a @ b`` for 2-D float64 arrays, as one cblas_dgemm with beta = 1.
+
+    The operands go to BLAS as they lie, without a copy: each must be non-empty
+    and aligned, with unit column stride and a row stride of at least its width
+    (a column slice of a wider array qualifies), and ``out`` must be writeable
+    and share no memory with ``a`` or ``b``.  Anything else raises ``ValueError``,
+    whichever BLAS is loaded.  Without a loaded ``cblas_dgemm`` this runs
+    ``out += a @ b`` in NumPy.  The two agree bit for bit where NumPy's product
+    is a gemm too (both of its dimensions above 1) and BLAS keeps the inner
+    dimension in one block (below 512 on OpenBLAS's Haswell kernels), as in
+    the denoiser's convolutions.
+    """
+    if not (a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0]
+            and out.shape == (a.shape[0], b.shape[1])):
+        raise ValueError(f"cannot add an {a.shape} @ {b.shape} product into {out.shape}")
+    for name, array in (("out", out), ("a", a), ("b", b)):
+        row, column = array.strides
+        if (array.dtype != np.float64 or not array.flags.aligned or array.size == 0
+                or column != 8 or row % 8 or row < 8 * array.shape[1]):
+            raise ValueError(f"{name} is not a BLAS row-major float64 layout: dtype {array.dtype}, "
+                             f"shape {array.shape}, strides {array.strides}")
+    if not out.flags.writeable:
+        raise ValueError("out is read-only")
+    if np.shares_memory(out, a) or np.shares_memory(out, b):
+        raise ValueError("out overlaps an operand")
+    library = _lookup()
+    gemm = None if library is None else library.gemm
+    if gemm is None:
+        out += a @ b
+        return
+    (m, k), n = a.shape, b.shape[1]
+    lda, ldb, ldc = (array.strides[0] // 8 for array in (a, b, out))
+    if max(m, n, k, lda, ldb, ldc) >= 2 ** (8 * ctypes.sizeof(gemm.argtypes[3]) - 1):
+        raise ValueError(f"sizes or strides exceed {gemm.__name__}'s integer range")
+    gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, 1.0, a.ctypes.data, lda,
+         b.ctypes.data, ldb, 1.0, out.ctypes.data, ldc)
 
 
 @contextmanager
@@ -78,11 +152,10 @@ def single_blas_thread():
     if control is None:
         yield
         return
-    get, set_ = control
     with _lock:
         if _depth == 0:
-            _saved = get()
-            set_(1)
+            _saved = control.get_threads()
+            control.set_threads(1)
         _depth += 1
     try:
         yield
@@ -90,4 +163,4 @@ def single_blas_thread():
         with _lock:
             _depth -= 1
             if _depth == 0:
-                set_(_saved)
+                control.set_threads(_saved)

@@ -21,6 +21,7 @@ formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,10 @@ class DenoiserConfig:
             raise ParameterError("validation_fraction must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ParameterError("batch_size must be >= 1 and epochs >= 0")
-        if self.learning_rate < 0.0:
-            raise ParameterError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ParameterError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate}"
+            )
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._blas import add_matmul
 from ..errors import ParameterError
 
 
@@ -143,13 +144,12 @@ def _correlate(grid: np.ndarray, kernel: np.ndarray, layout: GridLayout, out: np
         for tap in range(1, k * k):
             out[0] += products[tap, offsets[tap]:offsets[tap] + size]
         return
-    taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(k * k, out_ch, in_ch)
+    taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1), dtype=float)
+    taps = taps.reshape(k * k, out_ch, in_ch)
     np.matmul(taps[0], grid[:, :size], out=out)
-    term = np.empty((out_ch, size))
     for tap in range(1, k * k):
         offset = offsets[tap]
-        np.matmul(taps[tap], grid[:, offset:offset + size], out=term)
-        out += term
+        add_matmul(out, taps[tap], grid[:, offset:offset + size])
 
 
 def conv_layer(

@@ -196,5 +196,8 @@ def train(config: DenoiserConfig, data: TrainingSet) -> tuple[DenoiserWeights, T
         if n_val:
             with np.errstate(over="ignore", invalid="ignore"):
                 residual = forward_batch(weights, val_x) - val_t
-                history.validation_mse.append(float(np.mean(residual * residual)))
+                validation = float(np.mean(residual * residual))
+            if not np.isfinite(validation):
+                raise NumericError(f"training diverged: non-finite validation loss at epoch {epoch}")
+            history.validation_mse.append(validation)
     return weights, history

@@ -1,3 +1,4 @@
+import ctypes
 import datetime
 import logging
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,8 +100,10 @@ def test_many_threads_entering_and_leaving_never_see_an_unpinned_count(host_coun
 
 
 def test_importing_the_package_resolves_nothing():
+    # _lookup resolves the thread control and cblas_dgemm together, so no miss
+    # means neither was looked up
     code = (
-        "import covdenoise, covdenoise.cli, covdenoise.evaluation\n"
+        "import covdenoise, covdenoise.cli, covdenoise.evaluation, covdenoise.denoiser.ops\n"
         "from covdenoise import _blas\n"
         "print(_blas._lookup.cache_info().misses)\n"
     )
@@ -260,3 +264,130 @@ def test_backtest_reports_do_not_depend_on_the_hosts_blas_threads(tmp_path, esti
         )
         outputs.append([(out / file).read_bytes() for file in files])
     assert outputs[0] == outputs[1]
+
+
+needs_gemm = pytest.mark.skipif(
+    CONTROL is None or CONTROL.gemm is None, reason="no cblas_dgemm found in this NumPy's BLAS"
+)
+
+
+def _grid_operands(rng, rows, inner, size, offset):
+    """A contiguous (rows, inner) factor, an (inner, size) column slice of a wider
+    grid at ``offset``, and an (rows, size) body slice of an output grid."""
+    a = rng.standard_normal((rows, inner))
+    grid = rng.standard_normal((inner, size + 2 * offset + 3))
+    out_grid = rng.standard_normal((rows, size + 2 * offset + 3))
+    return out_grid[:, offset + 1:offset + 1 + size], a, grid[:, offset:offset + size]
+
+
+@needs_gemm
+@pytest.mark.parametrize("rows,inner,size,offset",
+                         [(64, 64, 500, 11), (7, 5, 33, 0), (2, 3, 10, 4), (16, 2, 2, 2),
+                          (3, 200, 97, 5)])
+def test_add_matmul_gives_the_bytes_of_out_plus_equals_a_matmul_b(rows, inner, size, offset):
+    out, a, b = _grid_operands(np.random.default_rng(rows), rows, inner, size, offset)
+    expected = out.copy()
+    expected += a @ b
+    _blas.add_matmul(out, a, b)
+    assert out.tobytes() == expected.tobytes()
+
+
+@needs_gemm
+def test_the_gemm_integer_type_follows_the_resolved_symbol():
+    gemm = CONTROL.gemm
+    suffix = "64_" if gemm.__name__.endswith("64_") else ""
+    assert gemm.__name__ in (f"scipy_cblas_dgemm{suffix}", f"cblas_dgemm{suffix}")
+    assert CONTROL.get_threads.__name__.endswith(suffix)
+    index = ctypes.c_int64 if suffix else ctypes.c_int
+    assert [gemm.argtypes[i] for i in (3, 4, 5, 8, 10, 13)] == [index] * 6
+
+
+@pytest.mark.parametrize("name,index", [("scipy_cblas_dgemm64_", ctypes.c_int64),
+                                        ("cblas_dgemm64_", ctypes.c_int64),
+                                        ("scipy_cblas_dgemm", ctypes.c_int),
+                                        ("cblas_dgemm", ctypes.c_int)])
+def test_each_gemm_spelling_gets_the_integer_type_of_its_name(name, index):
+    library = SimpleNamespace(**{name: SimpleNamespace()})
+    gemm = _blas._dgemm(library, name)
+    assert [gemm.argtypes[i] for i in (3, 4, 5, 8, 10, 13)] == [index] * 6
+    assert gemm.argtypes[6] is gemm.argtypes[11] is ctypes.c_double
+
+
+def test_a_library_without_the_gemm_symbol_leaves_add_matmul_to_numpy(caplog):
+    with caplog.at_level(logging.DEBUG, logger=_blas.__name__):
+        assert _blas._dgemm(SimpleNamespace(), "cblas_dgemm") is None
+    assert "no cblas_dgemm" in caplog.records[0].getMessage()
+
+
+def test_sizes_past_a_32_bit_gemm_are_refused_before_the_call(monkeypatch):
+    calls = []
+    gemm = _blas._dgemm(SimpleNamespace(cblas_dgemm=lambda *args: calls.append(args)),
+                        "cblas_dgemm")
+    gemm.__name__ = "cblas_dgemm"
+    monkeypatch.setattr(_blas, "_lookup", lambda: _blas._OpenBLAS(None, None, gemm))
+    base = np.zeros(2)
+    # rows 2**31 elements apart: never read, since the call is refused first
+    b = np.lib.stride_tricks.as_strided(base, shape=(2, 1), strides=(8 * 2**31, 8))
+    with pytest.raises(ValueError, match="integer range"):
+        _blas.add_matmul(np.zeros((3, 1)), np.ones((3, 2)), b)
+    assert calls == []
+
+
+def _layout_cases():
+    rng = np.random.default_rng(5)
+    out, a, b = _grid_operands(rng, 4, 3, 6, 2)
+    grid = rng.standard_normal((4, 12))
+    read_only = np.zeros((4, 6))
+    read_only.flags.writeable = False
+    return {
+        "shapes": ((np.zeros((4, 5)), a, b), "cannot add"),
+        "float32": ((out, a.astype(np.float32), b), "a is not"),
+        "column stride": ((out, a, grid[:3, ::2]), "b is not"),
+        "transposed": ((out, np.asfortranarray(a), b), "a is not"),
+        "row stride below width": ((out, a, np.lib.stride_tricks.as_strided(
+            b, shape=(3, 6), strides=(8 * 2, 8))), "b is not"),
+        "empty": ((np.zeros((4, 0)), a, np.zeros((3, 0))), "out is not"),
+        "read-only": ((read_only, a, b), "read-only"),
+        "out overlaps b": ((grid[:3, 1:7], rng.standard_normal((3, 4)), grid[:, :6]), "overlaps"),
+    }
+
+
+@pytest.mark.parametrize("no_blas", [False, True], ids=["blas", "numpy"])
+@pytest.mark.parametrize("case", ["shapes", "float32", "column stride", "transposed",
+                                  "row stride below width", "empty", "read-only",
+                                  "out overlaps b"])
+def test_layouts_blas_cannot_take_are_refused_whichever_blas_is_loaded(
+    monkeypatch, no_blas, case
+):
+    (out, a, b), message = _layout_cases()[case]
+    if no_blas:
+        monkeypatch.setattr(_blas, "_lookup", lambda: None)
+    before = out.copy()
+    with pytest.raises(ValueError, match=message):
+        _blas.add_matmul(out, a, b)
+    assert out.tobytes() == before.tobytes()
+
+
+def _conv_bytes():
+    from covdenoise.denoiser import conv2d_backward, conv2d_same, init_weights, loss_and_gradients
+
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 6, 9, 9))
+    kernel = rng.standard_normal((5, 6, 3, 3))
+    y = conv2d_same(x, kernel, rng.standard_normal(5))
+    grads = conv2d_backward(rng.standard_normal(y.shape), x, kernel)
+    config = DenoiserConfig(input_size=9, num_blocks=2, num_filters=6, kernel=5, seed=3,
+                            mode="eigenvectors")
+    inputs = rng.standard_normal((4, 1, 9, 9))
+    loss, step = loss_and_gradients(init_weights(config), inputs, rng.standard_normal(inputs.shape))
+    return [y.tobytes(), *(g.tobytes() for g in grads), np.float64(loss).tobytes(),
+            *(g.tobytes() for g in step)]
+
+
+@needs_gemm
+def test_convolutions_give_the_same_bytes_without_a_loaded_gemm(monkeypatch):
+    with_blas = _conv_bytes()
+    monkeypatch.setattr(_blas, "_openblas_paths", lambda: [])
+    monkeypatch.setattr(_blas, "_lookup", _blas._lookup.__wrapped__)
+    assert _blas._lookup() is None
+    assert _conv_bytes() == with_blas

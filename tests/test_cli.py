@@ -208,6 +208,22 @@ def test_train_divergence_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("rate, code", [("nan", 2), ("inf", 2), ("1e300", 3)])
+def test_train_with_a_non_finite_rate_or_validation_loss_writes_nothing(
+    runner, tmp_path, rate, code
+):
+    # 1e300 passes the config; one Adam step then makes the validation loss non-finite
+    weights, curve = tmp_path / "w.cdnw", tmp_path / "l.csv"
+    result = runner.invoke(
+        cli,
+        ["train", "--source", "simulation", "--model", "block", "--block-sizes", "3,3,4",
+         "--count", "5", "--epochs", "1", "--net-blocks", "1", "--filters", "4",
+         "--lr", rate, "--weights-out", str(weights), "--loss-curve-out", str(curve)],
+    )
+    assert result.exit_code == code, result.output
+    assert not weights.exists() and not curve.exists()
+
+
 def _returns_csv(tmp_path, runner, p=3, days=320):
     source = tmp_path / "prices.csv"
     make_price_csv(source, p=p, days=days, seed=5)

@@ -33,6 +33,12 @@ def test_config_validation():
         tiny_config(mode="magic")
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1e-3])
+def test_config_rejects_a_learning_rate_that_is_not_finite_and_nonnegative(rate):
+    with pytest.raises(ParameterError, match="learning_rate must be finite and nonnegative"):
+        tiny_config(learning_rate=rate)
+
+
 def test_zero_weights_give_zero_output(rng):
     weights = init_weights(tiny_config())
     for tensor in weights.tensors():

@@ -11,7 +11,7 @@ from covdenoise.denoiser import (
     build_training_set_simulation,
     train,
 )
-from covdenoise.errors import DataError, ParameterError
+from covdenoise.errors import DataError, NumericError, ParameterError
 from covdenoise.ingest import ReturnsPanel
 
 
@@ -170,6 +170,21 @@ def test_zero_learning_rate_freezes_weights(rng):
     for got, want in zip(weights.tensors(), reference.tensors()):
         assert np.array_equal(got, want)
     assert np.allclose(history.train_mse, history.train_mse[0])
+
+
+def test_a_non_finite_validation_loss_raises(rng):
+    # one batch per epoch: the training loss is taken before the update that
+    # blows the weights up, so only the validation pass sees the divergence
+    inputs = rng.standard_normal((5, 4, 4))
+    data = TrainingSet(inputs=inputs, targets=inputs.copy())
+    config = DenoiserConfig(
+        input_size=4, num_blocks=1, num_filters=2, kernel=3, seed=7,
+        batch_size=4, epochs=1, learning_rate=1e300, mode="eigenvectors",
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericError, match="non-finite validation loss at epoch 0"
+    ):
+        train(config, data)
 
 
 def test_training_is_deterministic(rng):
