@@ -22,8 +22,9 @@ and ``cblas_dgemm`` are taken from the same library, the gemm spelled like the
 thread control (``scipy_cblas_dgemm64_`` beside
 ``scipy_openblas_get_num_threads64_``); a ``64_`` suffix means 64-bit integer
 arguments, no suffix C ``int``.  Without an OpenBLAS (MKL, Accelerate,
-reference BLAS) :func:`single_blas_thread` does nothing and :func:`add_matmul`
-computes ``out += a @ b`` with NumPy, which gives the same bytes.
+reference BLAS) :func:`single_blas_thread` does nothing, and there, or where
+the OpenBLAS exports no ``cblas_dgemm``, :func:`add_matmul` runs
+``out += a @ b`` in NumPy: the same sum, through a scratch product.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             and out.shape == (a.shape[0], b.shape[1])):
         raise ValueError(f"cannot add an {a.shape} @ {b.shape} product into {out.shape}")
     for name, array in (("out", out), ("a", a), ("b", b)):
+        # aligned: the data and both strides are whole float64 slots
         row, column = array.strides
         if (array.dtype != np.float64 or not array.flags.aligned or array.size == 0
-                or column != 8 or row % 8 or row < 8 * array.shape[1]):
+                or column != 8 or row < 8 * array.shape[1]):
             raise ValueError(f"{name} is not a BLAS row-major float64 layout: dtype {array.dtype}, "
                              f"shape {array.shape}, strides {array.strides}")
     if not out.flags.writeable:

@@ -7,12 +7,16 @@ padded grid of shape (channels, B*Hp*Wp + 2*(r*Wp + r)), with r = k // 2,
 Hp = H + 2r and Wp = W + 2r (:class:`GridLayout`).  On a grid the (di, dj)
 tap of every output pixel is the contiguous column slice at offset
 di*Wp + dj, so a convolution is k*k GEMMs, ``kernel[:, :, di, dj] @
-grid[:, off:off + N]``, summed into one output.  Output pixel n lands at
-n + r*Wp + r on a grid of the same geometry: the output is written straight
-into the *body* of the next grid, and the body positions that are padding
-are re-zeroed afterwards.  A layer whose input or output has one channel
-skips the k*k GEMMs: its k*k shifted copies of that one row are stacked
-(k*k rows) and the layer is a single GEMM against the stack.
+grid[:, off:off + N]``.  The first writes the output; each later one adds its
+product into the output inside BLAS (``cblas_dgemm`` with beta = 1, through
+:func:`covdenoise._blas.add_matmul`), so no tap's product is stored on its own
+and the sum rounds exactly as adding the k*k products in tap order would.
+Output pixel n lands at n + r*Wp + r on a grid of the same geometry: the
+output is written straight into the *body* of the next grid, and the body
+positions that are padding are re-zeroed afterwards.  A layer whose input or
+output has one channel skips the k*k GEMMs: its k*k shifted copies of that
+one row are stacked (k*k rows) and the layer is a single GEMM against the
+stack.
 
 A grid is made once, where the data enters (:meth:`GridLayout.grid`), and
 every later grid is made by the layer that writes it (:func:`conv_layer`,
@@ -130,7 +134,9 @@ def _shifted_rows(row: np.ndarray, layout: GridLayout) -> np.ndarray:
 
 def _correlate(grid: np.ndarray, kernel: np.ndarray, layout: GridLayout, out: np.ndarray) -> None:
     """Write the same-padded cross-correlation of a grid with ``kernel`` into
-    ``out`` (O, size): position n holds the output at body position n."""
+    ``out`` (O, size): position n holds the output at body position n.  With
+    several input and output channels, tap 0's GEMM writes ``out`` and every
+    later tap's GEMM accumulates into it (beta = 1), in tap order."""
     out_ch, in_ch, k, _ = kernel.shape
     offsets = layout.offsets
     size = layout.size
