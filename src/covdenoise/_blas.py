@@ -46,7 +46,6 @@ _log = logging.getLogger(__name__)
 # (thread-control prefix, CBLAS prefix) of one build's symbols
 _SYMBOL_PREFIXES = (("scipy_openblas", "scipy_cblas"), ("openblas", "cblas"))
 _SYMBOL_SUFFIXES = ("64_", "")
-_ROW_MAJOR, _NO_TRANS = 101, 111  # CBLAS_ORDER and CBLAS_TRANSPOSE values
 _lock = threading.Lock()
 _depth = 0
 _saved = 1
@@ -142,8 +141,9 @@ def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     lda, ldb, ldc = (array.strides[0] // 8 for array in (a, b, out))
     if max(m, n, k, lda, ldb, ldc) >= 2 ** (8 * ctypes.sizeof(gemm.argtypes[3]) - 1):
         raise ValueError(f"sizes or strides exceed {gemm.__name__}'s integer range")
-    gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, 1.0, a.ctypes.data, lda,
-         b.ctypes.data, ldb, 1.0, out.ctypes.data, ldc)
+    # 101, 111: the CBLAS enum values of CblasRowMajor and CblasNoTrans
+    gemm(101, 111, 111, m, n, k, 1.0, a.ctypes.data, lda, b.ctypes.data, ldb,
+         1.0, out.ctypes.data, ldc)
 
 
 @contextmanager
