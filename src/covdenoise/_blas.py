@@ -1,4 +1,5 @@
-"""Reach the OpenBLAS that NumPy loaded: its thread count and its ``cblas_dgemm``.
+"""Reach the OpenBLAS that NumPy loaded: its thread count, its ``cblas_dgemm``
+and LAPACK's ``dsyevd``.
 
 The package's BLAS rule: work is parallelized over independent units, never
 inside BLAS.  Every Monte Carlo realization and every walk-forward window's
@@ -16,15 +17,22 @@ beta = 1, so BLAS adds the product into ``out`` without a scratch array (NumPy's
 ``matmul`` can only overwrite its ``out``).  The denoiser's convolutions sum
 their kernel taps this way.
 
+The Fortran ``dsyevd`` is bound here and called only by
+:func:`covdenoise.spectral.symmetric_eigenvalues`.  NumPy's ``eigvalsh`` holds
+the interpreter lock for its whole LAPACK call below size 500, which
+serializes the Monte Carlo pool's validations; a ctypes call releases it.
+
 The library is looked up once, on first use, not at import, and only among
-libraries already loaded, so a second BLAS is never loaded.  The thread control
-and ``cblas_dgemm`` are taken from the same library, the gemm spelled like the
-thread control (``scipy_cblas_dgemm64_`` beside
-``scipy_openblas_get_num_threads64_``); a ``64_`` suffix means 64-bit integer
-arguments, no suffix C ``int``.  Without an OpenBLAS (MKL, Accelerate,
-reference BLAS) :func:`single_blas_thread` does nothing, and there, or where
-the OpenBLAS exports no ``cblas_dgemm``, :func:`add_matmul` runs
-``out += a @ b`` in NumPy: the same sum, through a scratch product.
+libraries already loaded, so a second BLAS is never loaded.  The thread
+control, ``cblas_dgemm`` and ``dsyevd`` are taken from the same library, each
+spelled like the thread control (``scipy_cblas_dgemm64_`` and
+``scipy_dsyevd_64_`` beside ``scipy_openblas_get_num_threads64_``,
+``cblas_dgemm`` and ``dsyevd_`` beside ``openblas_get_num_threads``); a
+``64_`` suffix means 64-bit integer arguments, no suffix C ``int``.  Without
+an OpenBLAS (MKL, Accelerate, reference BLAS) :func:`single_blas_thread` does
+nothing, and there, or where the OpenBLAS exports no such symbol,
+:func:`add_matmul` runs ``out += a @ b`` in NumPy and the eigenvalues come
+from ``np.linalg.eigvalsh``: the same results, through NumPy.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 _log = logging.getLogger(__name__)
-# (thread-control prefix, CBLAS prefix) of one build's symbols
-_SYMBOL_PREFIXES = (("scipy_openblas", "scipy_cblas"), ("openblas", "cblas"))
+# (thread-control prefix, CBLAS prefix, LAPACK prefix) of one build's symbols
+_SYMBOL_PREFIXES = (("scipy_openblas", "scipy_cblas", "scipy_"), ("openblas", "cblas", ""))
 _SYMBOL_SUFFIXES = ("64_", "")
 _lock = threading.Lock()
 _depth = 0
@@ -55,6 +63,9 @@ class _OpenBLAS(NamedTuple):
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
     gemm: Callable[..., None] | None
+    dsyevd: Callable[..., None] | None = None
+    # NumPy dtype of the library's integer arguments, which dsyevd takes by pointer
+    integer: type = np.intc
 
 
 def _openblas_paths() -> list[str]:
@@ -71,20 +82,24 @@ def _openblas_paths() -> list[str]:
 
 @functools.cache
 def _lookup() -> _OpenBLAS | None:
-    """The loaded OpenBLAS's thread count (get, set) and its cblas_dgemm, or None."""
+    """The loaded OpenBLAS's thread count (get, set), its cblas_dgemm and
+    dsyevd, or None."""
     paths = _openblas_paths()
     for path in paths:
         try:
             library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # fails unless already loaded
         except (OSError, AttributeError):
             continue
-        for (prefix, cblas), suffix in itertools.product(_SYMBOL_PREFIXES, _SYMBOL_SUFFIXES):
+        for (prefix, cblas, lapack), suffix in itertools.product(_SYMBOL_PREFIXES,
+                                                                 _SYMBOL_SUFFIXES):
             names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
             if all(hasattr(library, name) for name in names):
                 get, set_ = (getattr(library, name) for name in names)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return _OpenBLAS(get, set_, _dgemm(library, f"{cblas}_dgemm{suffix}"))
+                return _OpenBLAS(get, set_, _dgemm(library, f"{cblas}_dgemm{suffix}"),
+                                 _dsyevd(library, f"{lapack}dsyevd_{suffix}"),
+                                 np.int64 if suffix else np.intc)
     why = f"no thread control in {paths}" if paths else "no OpenBLAS is loaded"
     _log.debug("BLAS thread count left unpinned: %s", why)
     return None
@@ -103,6 +118,23 @@ def _dgemm(library: ctypes.CDLL, name: str) -> Callable[..., None] | None:
                      real, pointer, index, pointer, index, real, pointer, index]
     gemm.restype = None
     return gemm
+
+
+def _dsyevd(library: ctypes.CDLL, name: str) -> Callable[..., None] | None:
+    """``library``'s Fortran dsyevd spelled ``name``, or None.
+
+    Its arguments: jobz and uplo as one-character strings, then pointers to
+    n, a, lda, w, work, lwork, iwork, liwork and info, then the two hidden
+    lengths of the strings.  The integers lie in memory, so their width is
+    the caller's: the ``integer`` dtype beside it.
+    """
+    if not hasattr(library, name):
+        _log.debug("no %s in the loaded OpenBLAS: eigenvalues come from NumPy", name)
+        return None
+    syevd = getattr(library, name)
+    syevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    syevd.restype = None
+    return syevd
 
 
 def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:

@@ -51,7 +51,8 @@ class CovarianceMatrix:
     The array is frozen (read-only) after validation, so its spectrum is
     computed on first use and cached.  ``eigenvalues`` holds the ascending
     eigenvalues of the validation, read-only.  ``CovarianceMatrix(values)``
-    validates with ``np.linalg.eigvalsh``, whose values may differ from
+    validates with :func:`~covdenoise.spectral.symmetric_eigenvalues` (the
+    bytes of ``np.linalg.eigvalsh``), whose values may differ from
     ``spectrum[0]`` in the last bits; a :meth:`decomposed` matrix is validated
     from its one ``eigh``, so its eigenvalues are ``spectrum[0]`` itself; a
     :meth:`recomposed` one takes the eigenvalues it was built from.
@@ -65,8 +66,10 @@ class CovarianceMatrix:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        from .spectral import symmetric_eigenvalues
+
         values = _checked(self.values)
-        self._seal(values, self.provenance, np.linalg.eigvalsh(values))
+        self._seal(values, self.provenance, symmetric_eigenvalues(values))
 
     @classmethod
     def decomposed(cls, values, provenance: str = "sample") -> "CovarianceMatrix":

@@ -6,18 +6,23 @@ created at step t gets label p+t.  Ties between candidate merges are broken
 by the lexicographically smallest pair of cluster labels, so dendrograms are
 fully deterministic.
 
-:func:`linkage` works in place on one symmetric p×p matrix of slots.  Slot s
+:func:`linkage` works in place on one symmetric matrix of slots.  Slot s
 starts as leaf s; a merge leaves the new cluster in the slot of its member
 with the smaller label and retires the other slot.  Retired slots and the
-diagonal hold ``+inf``, so each step is one ``argmin`` over the whole matrix
-and the Lance–Williams row of the new cluster is written to its row and its
-column.  Slot order is not label order, so when the minimum occurs at more
-than one pair the tied pairs are compared by their labels; merges, ties
-included, are the same as those of a matrix indexed by label.
+diagonal hold ``+inf``, so each step is one ``argmin`` over the matrix, and the
+Lance–Williams row of the new cluster, built in two preallocated buffers, is
+written to its row and its column.  The first minimum lies above the
+diagonal, so pairs tie when an entry after it, its mirror hidden, is equal
+to it.  Slot order is not label order, so tied pairs are compared by their
+labels; merges, ties included, are the same as those of a matrix indexed by
+label, and do not depend on the slot order.  So whenever retired slots make
+up half the matrix, the live slots are copied into a matrix of half the size,
+and the scans cover about the live clusters only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,44 +71,62 @@ def linkage(distance: np.ndarray, method: str = "average") -> list[Merge]:
     work *= 0.5
     np.fill_diagonal(work, np.inf)
     flat_work = work.ravel()
-    equal = np.empty(p * p, dtype=bool)
-    labels = np.arange(p)
-    sizes = [1] * p
+    # per slot; a retired slot has size 0.  Sizes are floats, which the
+    # update's ufuncs take faster than ints and with the same bits.
+    labels = list(range(p))
+    sizes = [1.0] * p
+    row, weighted = np.empty(p), np.empty(p)
+    slots = live = p
     merges: list[Merge] = []
     for step in range(p - 1):
-        # the first minimum in row-major order lies above the diagonal, so
-        # its mirror is the one other entry equal to it unless pairs tie
+        if 2 * live <= slots:
+            keep = [slot for slot, size in enumerate(sizes) if size]
+            work = work[np.ix_(keep, keep)]
+            flat_work = work.ravel()
+            labels = [labels[slot] for slot in keep]
+            sizes = [sizes[slot] for slot in keep]
+            slots = live
+            row, weighted = row[:slots], weighted[:slots]
         flat = int(flat_work.argmin())
         height = flat_work[flat]
-        if not np.isfinite(height):
+        if not math.isfinite(height):
             raise ParameterError("distances too large: the linkage update overflowed")
-        tail = flat_work[flat + 1:]
-        if np.count_nonzero(np.equal(tail, height, out=equal[:tail.size])) > 1:
+        a, b = divmod(flat, slots)
+        # (a, b) lies above the diagonal: its mirror (b, a) is the one other
+        # entry equal to it unless pairs tie
+        mirror = work[b, a]
+        work[b, a] = np.inf
+        later = flat_work[flat + 1:]
+        tied = later[later.argmin()] == height
+        work[b, a] = mirror
+        if tied:
             rows, cols = np.nonzero(work == height)
-            lo, hi = labels[rows], labels[cols]
+            slot_labels = np.array(labels)
+            lo, hi = slot_labels[rows], slot_labels[cols]
             best = np.argmin(np.where(lo < hi, lo * (2 * p) + hi, 4 * p * p))
             a, b = int(rows[best]), int(cols[best])
             height = work[a, b]  # tied +0.0 and -0.0 compare equal
-        else:
-            a, b = divmod(flat, p)
         if labels[a] > labels[b]:
             # a holds the smaller label: the merge's left, the slot kept, and
             # the first operand of the update, as in a label-indexed matrix
             a, b = b, a
         size_a, size_b = sizes[a], sizes[b]
         if method == "average":
-            row = (size_a * work[a] + size_b * work[b]) / (size_a + size_b)
+            np.multiply(work[a], size_a, out=row)
+            row += np.multiply(work[b], size_b, out=weighted)
+            row /= size_a + size_b
         else:
-            row = np.minimum(work[a], work[b])
+            np.minimum(work[a], work[b], out=row)
         row[a] = row[b] = np.inf  # the new cluster's diagonal, the retired slot
         work[a] = row
         work[:, a] = row
         work[b] = np.inf
         work[:, b] = np.inf
-        merges.append(Merge(left=int(labels[a]), right=int(labels[b]),
-                            height=float(height), size=size_a + size_b))
+        merges.append(Merge(left=labels[a], right=labels[b],
+                            height=float(height), size=int(size_a + size_b)))
         labels[a] = p + step
-        sizes[a] = size_a + size_b
+        sizes[a], sizes[b] = size_a + size_b, 0.0
+        live -= 1
     return merges
 
 

@@ -6,15 +6,22 @@ seriation of correlation matrices.
 For a :class:`~covdenoise.covariance.CovarianceMatrix` every spectral helper
 here reads the matrix's cached ``spectrum`` or its validation eigenvalues
 instead of calling LAPACK again.
+
+Eigenvalues without vectors come from :func:`symmetric_eigenvalues`, which
+calls LAPACK's ``dsyevd`` as ``np.linalg.eigvalsh`` does, with the same bytes,
+but outside the interpreter lock, so Monte Carlo pool threads validate their
+matrices at the same time.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .covariance import CovarianceMatrix, as_matrix, symmetrize
 from .errors import NumericError, ParameterError, SingularMatrixError
 
@@ -58,6 +65,54 @@ def ascending_spectrum(m) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(np.asarray(m, dtype=float))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
+
+
+def symmetric_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix read from its lower
+    triangle: the bytes of ``np.linalg.eigvalsh(values)``, its
+    ``LinAlgError`` included.
+
+    A non-empty square float64 matrix goes to the loaded OpenBLAS's
+    ``dsyevd`` as NumPy sends it: a Fortran-ordered copy, jobz ``'N'``, uplo
+    ``'L'``, and the workspace of one size query per dimension.  The call
+    releases the interpreter lock.  Anything else, and every matrix where no
+    ``dsyevd`` is loaded, goes to ``np.linalg.eigvalsh``.
+    """
+    library = _blas._lookup()
+    if (library is None or library.dsyevd is None or values.dtype != np.float64
+            or values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0):
+        return np.linalg.eigvalsh(values)
+    n = values.shape[0]
+    lwork, liwork = _dsyevd_workspace(n)
+    a = np.array(values, order="F")
+    eigenvalues = np.empty(n)
+    info = _call_dsyevd(library, a, eigenvalues, np.empty(lwork),
+                   np.empty(liwork, dtype=library.integer), (lwork, liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return eigenvalues
+
+
+@functools.cache
+def _dsyevd_workspace(n: int) -> tuple[int, int]:
+    """The (lwork, liwork) that dsyevd asks for at dimension ``n``.  Only the
+    sizes are cached: the arrays are made per call, so threads share none."""
+    library = _blas._lookup()
+    work, iwork = np.zeros(1), np.zeros(1, dtype=library.integer)
+    _call_dsyevd(library, np.zeros(1), np.zeros(n), work, iwork, (-1, -1))
+    return int(work[0]), int(iwork[0])
+
+
+def _call_dsyevd(library, a, eigenvalues, work, iwork, sizes) -> int:
+    """One dsyevd('N', 'L') call on the Fortran-ordered ``a``, with
+    ``sizes`` = (lwork, liwork), (-1, -1) for the size query; returns info."""
+    n = eigenvalues.size
+    integers = np.array([n, n, *sizes, 0], dtype=library.integer)
+    at, step = integers.ctypes.data, integers.itemsize
+    library.dsyevd(b"N", b"L", at, a.ctypes.data, at + step, eigenvalues.ctypes.data,
+                   work.ctypes.data, at + 2 * step, iwork.ctypes.data, at + 3 * step,
+                   at + 4 * step, 1, 1)
+    return int(integers[4])
 
 
 def eigendecompose_sym(m) -> SpectralDecomposition:
@@ -109,14 +164,14 @@ def floored_spectrum(m, name: str, singular_ok: bool = True) -> tuple[np.ndarray
 
 def floored_eigenvalues(m, name: str) -> np.ndarray:
     """The eigenvalues of :func:`floored_spectrum` with ``singular_ok``,
-    without the vectors: a CovarianceMatrix's validation eigenvalues, or one
-    ``eigvalsh`` of a plain array, floored by the same rule."""
+    without the vectors: a CovarianceMatrix's validation eigenvalues, or the
+    :func:`symmetric_eigenvalues` of a plain array, floored by the same rule."""
     if isinstance(m, CovarianceMatrix):
         eigenvalues = m.eigenvalues
     else:
         try:
-            eigenvalues = np.linalg.eigvalsh(np.asarray(m, dtype=float))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            eigenvalues = symmetric_eigenvalues(np.asarray(m, dtype=float))
+        except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue computation failed to converge: {exc}") from exc
     return _floor(eigenvalues, name, singular_ok=True)
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import covdenoise.spectral as spectral
 from covdenoise.portfolio import RELEASE_TOL
 from covdenoise.spectral import floored_spectrum
 
@@ -15,6 +16,23 @@ def random_psd(rng: np.random.Generator, p: int, scale_spread: float = 1.0) -> n
         d = np.exp(rng.uniform(-scale_spread, scale_spread, size=p))
         cov = cov * np.outer(d, d)
     return 0.5 * (cov + cov.T)
+
+
+def count_decompositions(monkeypatch) -> dict[str, int]:
+    """Count, from here on, ``np.linalg.eigh`` calls as "eigh" and the
+    eigenvalue-only decompositions, calls of
+    :func:`covdenoise.spectral.symmetric_eigenvalues`, as "eigvalsh"."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for owner, name, key in ((np.linalg, "eigh", "eigh"),
+                             (spectral, "symmetric_eigenvalues", "eigvalsh")):
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
 
 
 def reference_mv_loss(xi, sigma) -> float:

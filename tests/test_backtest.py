@@ -23,7 +23,7 @@ from covdenoise import (
 from covdenoise.covariance import CovarianceMatrix, symmetrize
 from covdenoise.denoiser import DenoiserConfig
 from covdenoise.ingest import ReturnsPanel
-from conftest import solve_per_pivot
+from conftest import count_decompositions, solve_per_pivot
 
 
 def make_panel(values, start="2023-01-01"):
@@ -493,19 +493,6 @@ def test_uniform_needs_no_estimation_history(rng):
     assert report.rebalance_dates == [panel.dates[0], panel.dates[30], panel.dates[60]]
 
 
-def _count_lapack(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return counts
-
-
 @pytest.mark.parametrize(
     "estimator, eigh, eigvalsh", [("naive", 0, 1), ("alca", 0, 2), ("2s-lp", 1, 1)]
 )
@@ -519,7 +506,7 @@ def test_each_window_matrix_is_decomposed_once(rng, monkeypatch, estimator, eigh
     panel = iid_panel(rng, 5, 200)
     config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
                                t_in=40, t_out=30, delta_t=30)
-    counts = _count_lapack(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     report = walk_forward(panel, config)
     windows = len(report.rebalance_dates)
     assert all(np.all(allocation.weights > 0) for allocation in report.weight_history)
@@ -535,7 +522,7 @@ def test_warm_windows_decompose_only_the_sample_an_estimator_reads(monkeypatch, 
     panel = correlated_panel(0, 20, 60 + 20 * 7)
     config = WalkForwardConfig(split_date=panel.dates[60], estimator=estimator,
                                t_in=60, t_out=7, delta_t=7)
-    counts = _count_lapack(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     report = walk_forward(panel, config)
     windows = len(report.rebalance_dates)
     assert windows == 20
@@ -554,7 +541,7 @@ def test_seriation_validates_only_the_unpermuted_estimate(rng, monkeypatch):
                 train_stride=1, pre_history_days=31)
     validations = {}
     for seriation in (False, True):
-        counts = _count_lapack(monkeypatch)
+        counts = count_decompositions(monkeypatch)
         report = walk_forward(panel, WalkForwardConfig(**base, seriation_per_window=seriation))
         validations[seriation] = counts["eigvalsh"] / len(report.rebalance_dates)
     # the seriation pass orders the raw window covariance without validating it

@@ -35,6 +35,7 @@ def test_retagged_checks_only_the_tag(rng, monkeypatch):
         raise AssertionError("retagged re-ran the eigenvalue check")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_validation)
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", no_validation)
     assert s.retagged("estimator:x").provenance == "estimator:x"
 
 
@@ -127,9 +128,10 @@ def test_decomposed_matrix_rejects_what_the_constructor_rejects(values, message)
 def test_decomposed_matrix_is_validated_from_its_one_eigh(rng, monkeypatch):
     values = random_psd(rng, 6)
     counts = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (spectral, "symmetric_eigenvalues")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda m, _real=real, _name=name: counts.append(_name) or _real(m))
     s = CovarianceMatrix.decomposed(values)
     assert s.eigenvalues is s.spectrum[0]
@@ -152,6 +154,7 @@ def test_lp_estimate_takes_its_shrunk_values_as_eigenvalues(monkeypatch):
         s = sample_covariance(build_block_model((p // 2, p - p // 2), 0.3), n, p).sample
         with monkeypatch.context() as patched:
             patched.setattr(np.linalg, "eigvalsh", no_validation)
+            patched.setattr(spectral, "symmetric_eigenvalues", no_validation)
             estimate = estimate_lp(s, n)
         reference = np.linalg.eigvalsh(estimate.values)
         assert np.all(np.diff(estimate.eigenvalues) >= 0.0)

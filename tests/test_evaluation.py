@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import covdenoise.evaluation as evaluation
+import covdenoise.spectral as spectral
 from covdenoise import (
     CovarianceMatrix,
     ModelKind,
@@ -18,7 +19,7 @@ from covdenoise import (
 )
 from covdenoise.errors import SingularMatrixError
 from covdenoise.randomness import STREAM_REALIZATION, child_seed
-from conftest import random_psd, reference_mv_loss
+from conftest import count_decompositions, random_psd, reference_mv_loss
 
 
 def test_frobenius_zero_iff_equal(rng):
@@ -113,6 +114,7 @@ def test_mv_loss_of_a_retagged_sample_reads_the_shared_eigenvalues(rng, monkeypa
 
     monkeypatch.setattr(np.linalg, "eigh", no_lapack)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", no_lapack)
     assert mv_loss(tagged, sigma) == mv_loss(sample, sigma)
     assert _relative(mv_loss(tagged, sigma), expected) <= 1e-12
 
@@ -219,15 +221,7 @@ def test_monte_carlo_trains_cnn_once_and_runs():
 
 
 def test_monte_carlo_decomposes_sigma_once_and_each_sample_once(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    counts = count_decompositions(monkeypatch)
     spec = ModelSpec(kind=ModelKind.BLOCK, p=12, block_sizes=(3, 4, 5), gamma=0.3)
     m = 3
     report = run_monte_carlo(spec, 30, m, ["naive", "lp", "alca", "2s-lp"], seed=4, threads=1)

@@ -247,6 +247,19 @@ def test_linkage_matches_reference_on_power_law_correlation(method):
     assert_same_merges(distance, method)
 
 
+@pytest.mark.parametrize("method", ["average", "single"])
+@pytest.mark.parametrize("decimals", [None, 1], ids=["tie-free", "tied"])
+@pytest.mark.parametrize("p", [60, 120, 300])
+def test_linkage_matches_reference_across_compactions(monkeypatch, method, decimals, p):
+    # the working matrix is copied down to its live slots at p/2, p/4, ...
+    # live clusters; count the copies, which index with np.ix_
+    copies = []
+    real = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *index: copies.append(len(index[0])) or real(*index))
+    assert_same_merges(correlation_distance(np.random.default_rng(p), p, decimals), method)
+    assert len(copies) >= 2 and copies[:2] == [p // 2, p // 4]
+
+
 def test_linkage_peak_memory_is_a_small_multiple_of_the_input():
     rng = np.random.default_rng(13)
     distance = correlation_distance(rng, 300)
@@ -276,6 +289,17 @@ def test_linkage_rejects_distances_whose_update_overflows():
     distance = np.full((4, 4), 8.5e307)
     distance[0, 1] = distance[1, 0] = 1.0
     distance[:2, 2] = distance[2, :2] = 8e307
+    np.fill_diagonal(distance, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflowed"):
+        linkage(distance, "average")
+
+
+def test_linkage_rejects_distances_whose_update_overflows_to_minus_infinity():
+    # finite input, whose symmetrization does not overflow; merging {0, 1}
+    # with 2 weights -7e307 by sizes 2 + 1, which sums to -2.1e308
+    distance = np.full((4, 4), -7e307)
+    distance[0, 1] = distance[1, 0] = -8.9e307
+    distance[:2, 2] = distance[2, :2] = -8.8e307
     np.fill_diagonal(distance, 0.0)
     with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflowed"):
         linkage(distance, "average")

@@ -1,18 +1,31 @@
+import ctypes
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import covdenoise.spectral as spectral
 from covdenoise import (
+    CovarianceMatrix,
     ParameterError,
+    _blas,
     build_block_model,
     corr_to_cov,
     cov_to_corr,
     eigendecompose_sym,
+    mv_loss,
     psd_project,
     spectral_seriation,
     stieltjes,
 )
 from covdenoise.errors import NumericError
 from conftest import random_psd
+
+LIBRARY = _blas._lookup()
+needs_dsyevd = pytest.mark.skipif(
+    LIBRARY is None or LIBRARY.dsyevd is None, reason="no dsyevd in a loaded OpenBLAS"
+)
 
 
 def test_eigendecompose_identity():
@@ -152,6 +165,9 @@ def test_seriation_preserves_spectrum(rng):
 
 
 def test_lapack_eigensolvers_are_called_only_in_covariance_and_spectral():
+    # NumPy's solvers, the eigenvalue entry point and the dsyevd that _blas
+    # binds are called in covariance.py and spectral.py only, and the bound
+    # dsyevd is not even read outside spectral.py, so no alias escapes
     import ast
     from pathlib import Path
 
@@ -161,12 +177,113 @@ def test_lapack_eigensolvers_are_called_only_in_covariance_and_spectral():
     allowed = {root / "covariance.py", root / "spectral.py"}
     offenders = []
     for path in sorted(root.rglob("*.py")):
-        if path in allowed:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
+            if isinstance(node, ast.Call) and path not in allowed:
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("eigh", "eigvalsh"):
+                if name in ("eigh", "eigvalsh", "symmetric_eigenvalues", "dsyevd"):
                     offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+            if (isinstance(node, ast.Attribute) and node.attr == "dsyevd"
+                    and path != root / "spectral.py"):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert offenders == []
+
+
+def _eigenvalues_or_error(solve, values):
+    try:
+        return solve(values).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+def _nearly_symmetric(rng, p):
+    # the upper triangle off by up to 1e-12, as CovarianceMatrix admits: both
+    # solvers must read the lower one
+    values = random_psd(rng, p)
+    return values + np.triu(rng.uniform(-1e-12, 1e-12, size=(p, p)), 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 64, 99, 200, 257])
+def test_symmetric_eigenvalues_are_the_bytes_of_numpy_eigvalsh(p):
+    rng = np.random.default_rng(p)
+    values = _nearly_symmetric(rng, p)
+    for layout in (values, np.asfortranarray(values), values[::-1, ::-1]):
+        assert (spectral.symmetric_eigenvalues(layout).tobytes()
+                == np.linalg.eigvalsh(layout).tobytes())
+
+
+def test_symmetric_eigenvalues_of_nan_arrays_match_numpy():
+    one_nan = np.eye(4)
+    one_nan[0, 0] = np.nan  # LAPACK returns NaN eigenvalues
+    cases = [np.full((1, 1), np.nan), one_nan, np.full((5, 5), np.nan)]  # the last raises
+    for values in cases:
+        assert (_eigenvalues_or_error(spectral.symmetric_eigenvalues, values)
+                == _eigenvalues_or_error(np.linalg.eigvalsh, values))
+    sigma = CovarianceMatrix(np.eye(4) + 0.1, "model-1")
+    assert np.isnan(mv_loss(one_nan, sigma))
+
+
+@needs_dsyevd
+def test_symmetric_eigenvalues_agree_with_numpy_from_concurrent_threads():
+    # more threads than cores, switching often, racing to fill the cached
+    # workspace sizes: each must still get its own matrix's bytes every time
+    rng = np.random.default_rng(3)
+    matrices = [_nearly_symmetric(rng, p) for p in (20, 99, 20, 64, 99, 64)]
+    expected = [np.linalg.eigvalsh(values).tobytes() for values in matrices]
+    got = [set() for _ in matrices]
+
+    def solve(k):
+        for _ in range(5):
+            got[k].add(spectral.symmetric_eigenvalues(matrices[k]).tobytes())
+
+    spectral._dsyevd_workspace.cache_clear()
+    workers = [threading.Thread(target=solve, args=(k,)) for k in range(len(matrices))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [{values} for values in expected]
+
+
+@pytest.mark.parametrize("library", [None, _blas._OpenBLAS(None, None, None)],
+                         ids=["no OpenBLAS", "no dsyevd"])
+def test_symmetric_eigenvalues_fall_back_to_numpy_without_a_dsyevd(monkeypatch, library):
+    values = _nearly_symmetric(np.random.default_rng(4), 7)
+    expected = np.linalg.eigvalsh(values).tobytes()
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(_blas, "_lookup", lambda: library)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or real(m))
+    assert spectral.symmetric_eigenvalues(values).tobytes() == expected
+    assert len(calls) == 1
+
+
+@needs_dsyevd
+def test_the_bound_dsyevd_releases_the_interpreter_lock():
+    # ctypes holds the lock only for functions flagged as Python API calls
+    assert not LIBRARY.dsyevd._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+@needs_dsyevd
+def test_dsyevd_failing_to_converge_raises_linalgerror(monkeypatch):
+    integer = np.ctypeslib.as_ctypes_type(LIBRARY.integer)
+
+    def failing(*args):
+        LIBRARY.dsyevd(*args)
+        if integer.from_address(args[7]).value != -1:  # lwork; -1 is the size query
+            integer.from_address(args[10]).value = 3  # info > 0: no convergence
+
+    monkeypatch.setattr(_blas, "_lookup", lambda: LIBRARY._replace(dsyevd=failing))
+    values = random_psd(np.random.default_rng(5), 6)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        spectral.symmetric_eigenvalues(values)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        CovarianceMatrix(values)
+    with pytest.raises(NumericError, match="failed to converge"):
+        spectral.floored_eigenvalues(values, "xi")
