@@ -1,13 +1,13 @@
 """Reach the OpenBLAS that NumPy loaded: its thread count, its ``cblas_dgemm``
 and LAPACK's ``dsyevd``.
 
-The package's BLAS rule: work is parallelized over independent units, never
-inside BLAS.  Every Monte Carlo realization and every walk-forward window's
-estimate, allocation and hold run inside :func:`single_blas_thread`, so
-``threads`` pool threads use ``threads`` cores and results do not depend on
-the host's ``OPENBLAS_NUM_THREADS``.  Denoiser training keeps the host's BLAS
-threads; a learned estimator's forward pass, being part of an estimate, runs
-on one.
+The package's BLAS rule, without exception: work is parallelized over
+independent units, never inside BLAS.  Every Monte Carlo realization, every
+walk-forward window (training, estimate, allocation and hold) and every
+training sample runs inside :func:`single_blas_thread`, so ``threads`` pool
+threads use ``threads`` cores and results do not depend on the host's
+``OPENBLAS_NUM_THREADS``.  Training runs its samples on a pool as large as
+the host count that :func:`single_blas_thread` yields.
 
 The thread count is process-wide, so entries are counted under a lock: the
 first entry saves the count and sets 1, the last exit restores it.
@@ -180,11 +180,15 @@ def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 @contextmanager
 def single_blas_thread():
-    """Run the block with the loaded OpenBLAS on one thread, then restore its count."""
+    """Run the block with the loaded OpenBLAS on one thread, then restore its count.
+
+    Yields the host's count, saved by the outermost entry, as the number of
+    pool threads that fill the cores; 1 where no thread control is found.
+    """
     global _depth, _saved
     control = _lookup()
     if control is None:
-        yield
+        yield 1
         return
     with _lock:
         if _depth == 0:
@@ -192,7 +196,7 @@ def single_blas_thread():
             control.set_threads(1)
         _depth += 1
     try:
-        yield
+        yield _saved  # fixed while any entry is inside
     finally:
         with _lock:
             _depth -= 1

@@ -29,9 +29,10 @@ one ``eigvalsh``, a ``2s-lp`` window one ``eigh`` and one ``eigvalsh``.  Only
 a QP whose estimate has a floored eigenvalue adds the ``eigh`` of that
 estimate.
 
-Each window's estimate, allocation and hold run on one BLAS thread; a
-``cnn``/``hybrid`` window's training keeps the host's BLAS threads.  This is
-the package's BLAS rule, stated in :mod:`covdenoise._blas`.
+Each window, from its seriation and training through its estimate,
+allocation and hold, runs on one BLAS thread; a ``cnn``/``hybrid`` window's
+training parallelizes over its samples instead.  This is the package's BLAS
+rule, stated in :mod:`covdenoise._blas`.
 """
 
 from __future__ import annotations
@@ -160,14 +161,13 @@ def _rebalance_loop(
     drifted: np.ndarray | None = None
 
     for k, boundary in enumerate(boundaries):
-        allocation, window_diag = allocate(k, boundary)
-        if drifted is not None:
-            pre_rebalance.append(drifted)
-        weight_history.append(allocation)
-
         hold = panel.values[:, boundary:boundary + hold_days]
         with single_blas_thread():
+            allocation, window_diag = allocate(k, boundary)
+            if drifted is not None:
+                pre_rebalance.append(drifted)
             returns, drifted = _hold_period(allocation.weights, hold, return_mode)
+        weight_history.append(allocation)
         daily_returns.append(returns)
         diagnostics.append(window_diag)
 
@@ -204,9 +204,8 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
         in_sample = panel.values[:, boundary - config.t_in:boundary]
         order = None
         if mode and config.seriation_per_window:
-            with single_blas_thread():
-                corr, _ = cov_to_corr(window_covariance(in_sample))
-                order = spectral_seriation(corr)
+            corr, _ = cov_to_corr(window_covariance(in_sample))
+            order = spectral_seriation(corr)
         window_diag: dict = {"window": k, "date": panel.dates[boundary]}
         weights_net = None
         if mode:
@@ -220,27 +219,24 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
             window_diag["final_validation_mse"] = (
                 training_history.validation_mse[-1] if training_history.validation_mse else None
             )
-        with single_blas_thread():
-            estimator = make_estimator(config.estimator, config.t_in, weights=weights_net)
-            sample = validated_sample(
-                config.estimator,
-                window_covariance(in_sample if order is None else in_sample[order, :]),
-            )
-            eigenvalues = sample.eigenvalues
-            window_diag["in_sample_condition"] = float(
-                eigenvalues[-1] / max(eigenvalues[0], 1e-300)
-            )
-            try:
-                estimate = estimator(sample)
-            except CovDenoiseError as exc:
-                raise type(exc)(
-                    f"estimator {config.estimator!r} failed at rebalance window {k} "
-                    f"({panel.dates[boundary]}): {exc}"
-                ) from exc
-            if order is not None:
-                undo = invert_permutation(order)
-                estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
-            allocation = mvp_plus_weights(estimate, support=support)
+        estimator = make_estimator(config.estimator, config.t_in, weights=weights_net)
+        sample = validated_sample(
+            config.estimator,
+            window_covariance(in_sample if order is None else in_sample[order, :]),
+        )
+        eigenvalues = sample.eigenvalues
+        window_diag["in_sample_condition"] = float(eigenvalues[-1] / max(eigenvalues[0], 1e-300))
+        try:
+            estimate = estimator(sample)
+        except CovDenoiseError as exc:
+            raise type(exc)(
+                f"estimator {config.estimator!r} failed at rebalance window {k} "
+                f"({panel.dates[boundary]}): {exc}"
+            ) from exc
+        if order is not None:
+            undo = invert_permutation(order)
+            estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
+        allocation = mvp_plus_weights(estimate, support=support)
         support = allocation.weights > 0
         return allocation, window_diag
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..covariance import symmetrize
 from ..errors import NumericError, ParameterError
 from ..randomness import STREAM_INIT, generator
 from ..spectral import psd_project
@@ -218,5 +217,5 @@ def forward(weights: DenoiserWeights, matrix: np.ndarray) -> np.ndarray:
         raise NumericError("non-finite activation in the network head output")
     result = out[0, 0] * scale
     if weights.config.mode == "covariance":
-        return psd_project(symmetrize(result), 0.0)
+        return psd_project(result, 0.0)
     return result

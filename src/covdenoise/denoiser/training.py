@@ -1,13 +1,24 @@
 """Training loop (Adam on MSE), training-set builders for simulated and
-rolling empirical data, and eigenvector-target alignment."""
+rolling empirical data, and eigenvector-target alignment.
+
+Training follows the package's BLAS rule (:mod:`covdenoise._blas`): it runs
+on one BLAS thread and parallelizes over samples instead.  A batch's loss and
+gradients, and the validation MSE, are means of one-sample results computed
+on a pool as large as the host's BLAS thread count and summed in sample
+order, so the trained bits depend on neither the pool's size nor
+``OPENBLAS_NUM_THREADS``.
+"""
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
+from .._blas import single_blas_thread
 from ..covariance import as_matrix, window_covariance
 from ..errors import NumericError, ParameterError
 from ..models import ModelSpec, sample_covariance
@@ -143,6 +154,31 @@ def _normalizer(config: DenoiserConfig, inputs: np.ndarray) -> float:
     return scale if scale > 0.0 else 1.0
 
 
+def _sample_loss(weights: DenoiserWeights, x: np.ndarray, t: np.ndarray, with_gradients: bool):
+    """One (1, p, p) sample's MSE, with its parameter gradients or None."""
+    # np.errstate is per context, and pool threads do not inherit the caller's
+    with np.errstate(over="ignore", invalid="ignore"):
+        if with_gradients:
+            return loss_and_gradients(weights, x[None], t[None])
+        residual = forward_batch(weights, x[None]) - t[None]
+        return float(np.mean(residual * residual)), None
+
+
+def _mean_loss(pool, weights, inputs, targets, with_gradients: bool = True):
+    """Mean MSE over paired samples, and mean gradients or None: one-sample
+    results from the pool, summed in sample order."""
+    results = pool.map(_sample_loss, repeat(weights), inputs, targets, repeat(with_gradients))
+    loss, grads = next(results)
+    for sample_loss, sample_grads in results:
+        loss += sample_loss
+        if grads is not None:
+            for total, grad in zip(grads, sample_grads):
+                total += grad
+    for total in grads or ():
+        total /= len(inputs)
+    return loss / len(inputs), grads
+
+
 def train(config: DenoiserConfig, data: TrainingSet) -> tuple[DenoiserWeights, TrainingHistory]:
     """Adam on MSE with a chronological validation split; returns the final
     weights and the per-epoch loss curves."""
@@ -172,32 +208,32 @@ def train(config: DenoiserConfig, data: TrainingSet) -> tuple[DenoiserWeights, T
     adam_v = [np.zeros_like(t) for t in params]
     step = 0
     history = TrainingHistory()
-    for epoch in range(config.epochs):
-        order = generator(config.seed, STREAM_SHUFFLE, epoch).permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_gradients(weights, train_x[batch], train_t[batch])
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
-            epoch_loss += loss * batch.size
-            step += 1
-            lr_t = config.learning_rate * math.sqrt(1.0 - ADAM_BETA2 ** step) / (
-                1.0 - ADAM_BETA1 ** step
-            )
-            for tensor, grad, m, v in zip(params, grads, adam_m, adam_v):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad * grad
-                tensor -= lr_t * m / (np.sqrt(v) + ADAM_EPS)
-        history.train_mse.append(epoch_loss / n_train)
-        if n_val:
-            with np.errstate(over="ignore", invalid="ignore"):
-                residual = forward_batch(weights, val_x) - val_t
-                validation = float(np.mean(residual * residual))
-            if not np.isfinite(validation):
-                raise NumericError(f"training diverged: non-finite validation loss at epoch {epoch}")
-            history.validation_mse.append(validation)
+    with single_blas_thread() as threads, ThreadPoolExecutor(max_workers=threads) as pool:
+        for epoch in range(config.epochs):
+            order = generator(config.seed, STREAM_SHUFFLE, epoch).permutation(n_train)
+            epoch_loss = 0.0
+            for start in range(0, n_train, config.batch_size):
+                batch = order[start:start + config.batch_size]
+                loss, grads = _mean_loss(pool, weights, train_x[batch], train_t[batch])
+                if not np.isfinite(loss):
+                    raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
+                epoch_loss += loss * batch.size
+                step += 1
+                lr_t = config.learning_rate * math.sqrt(1.0 - ADAM_BETA2 ** step) / (
+                    1.0 - ADAM_BETA1 ** step
+                )
+                for tensor, grad, m, v in zip(params, grads, adam_m, adam_v):
+                    m *= ADAM_BETA1
+                    m += (1.0 - ADAM_BETA1) * grad
+                    v *= ADAM_BETA2
+                    v += (1.0 - ADAM_BETA2) * grad * grad
+                    tensor -= lr_t * m / (np.sqrt(v) + ADAM_EPS)
+            history.train_mse.append(epoch_loss / n_train)
+            if n_val:
+                validation, _ = _mean_loss(pool, weights, val_x, val_t, with_gradients=False)
+                if not np.isfinite(validation):
+                    raise NumericError(
+                        f"training diverged: non-finite validation loss at epoch {epoch}"
+                    )
+                history.validation_mse.append(validation)
     return weights, history

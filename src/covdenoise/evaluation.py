@@ -6,9 +6,9 @@ and minimum-variance losses per estimator.  Realizations run on independent
 sub-seeds and may be evaluated on a thread pool; aggregation is by
 realization index, so thread scheduling never changes the results.
 
-Everything after the denoiser training runs on one BLAS thread, by the
-package's BLAS rule (:mod:`covdenoise._blas`): the harness parallelizes over
-realizations, never inside BLAS.
+The whole run, the denoiser training included, runs on one BLAS thread, by
+the package's BLAS rule (:mod:`covdenoise._blas`): the harness parallelizes
+over realizations, and training over samples, never inside BLAS.
 
 Each realization calls ``models.sample_covariance`` and :func:`mv_loss`
 directly.  Both read what their ``CovarianceMatrix`` arguments cache, so the
@@ -178,10 +178,10 @@ def run_monte_carlo(
     needs_training = [name for name in names if modes[name]]
     if needs_training and denoiser_config is None:
         raise ParameterError(f"estimators {needs_training} require a denoiser configuration")
-    weights = _train_harness_weights(
-        model, n, set(modes.values()), seed, denoiser_config, train_count
-    )
     with single_blas_thread():
+        weights = _train_harness_weights(
+            model, n, set(modes.values()), seed, denoiser_config, train_count
+        )
         sigma = model.build()
         bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
         # sigma's spectrum and Sigma^-2 are filled before any realization

@@ -5,16 +5,16 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import covdenoise.denoiser as denoiser
 from covdenoise import ModelKind, ModelSpec, ReturnsPanel, _blas, run_monte_carlo, write_returns
 from covdenoise._blas import single_blas_thread
-from covdenoise.denoiser import DenoiserConfig
+from covdenoise.denoiser import DenoiserConfig, training
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONTROL = _blas._lookup()
@@ -39,11 +39,13 @@ def host_count():
 
 @needs_control
 def test_restores_the_count_after_normal_exit_and_after_an_exception(host_count):
-    with single_blas_thread():
+    with single_blas_thread() as outer:
         assert _count() == 1
-        with single_blas_thread():
+        with single_blas_thread() as inner:
             assert _count() == 1
         assert _count() == 1
+    # both entries yield the host's count, saved by the outer one
+    assert outer == inner == host_count
     assert _count() == host_count
     with pytest.raises(RuntimeError, match="inside"):
         with single_blas_thread():
@@ -134,44 +136,40 @@ def test_realizations_run_pinned_and_the_count_is_restored(host_count, monkeypat
     assert _count() == host_count
 
 
+def _recording(seen, name, real):
+    def record(*args, **kwargs):
+        seen[name].append(_count())
+        return real(*args, **kwargs)
+    return record
+
+
 @needs_control
-def test_harness_training_runs_at_the_host_count(host_count, monkeypatch):
-    seen = []
-    real_train = denoiser.train
-
-    def recording_train(*args, **kwargs):
-        seen.append(_count())
-        return real_train(*args, **kwargs)
-
-    monkeypatch.setattr(denoiser, "train", recording_train)
+def test_harness_training_runs_its_samples_pinned(host_count, monkeypatch):
+    seen = {"sample": []}
+    monkeypatch.setattr(training, "loss_and_gradients",
+                        _recording(seen, "sample", training.loss_and_gradients))
     spec = ModelSpec(kind=ModelKind.BLOCK, p=8, block_sizes=(4, 4), gamma=0.3)
     config = DenoiserConfig(input_size=8, num_blocks=1, num_filters=2, kernel=3, seed=4,
                             batch_size=4, epochs=1)
     report = run_monte_carlo(spec, 24, 2, ["naive", "cnn"], seed=6, denoiser_config=config,
                              train_count=4)
-    assert seen == [host_count]
+    # a fifth of four samples holds none out: one batch of four
+    assert seen == {"sample": [1] * 4}
     assert report.rows["cnn"].failures == 0
     assert _count() == host_count
 
 
 @needs_control
-def test_walk_forward_trains_at_the_host_count_and_allocates_and_holds_pinned(
-    host_count, monkeypatch
-):
+def test_walk_forward_trains_allocates_and_holds_pinned(host_count, monkeypatch):
     import covdenoise.backtest as backtest
 
-    seen = {"train": [], "allocate": [], "hold": []}
-
-    def recording(name, real):
-        def record(*args, **kwargs):
-            seen[name].append(_count())
-            return real(*args, **kwargs)
-        return record
-
-    monkeypatch.setattr(denoiser, "train", recording("train", denoiser.train))
+    seen = {"sample": [], "allocate": [], "hold": []}
+    monkeypatch.setattr(training, "loss_and_gradients",
+                        _recording(seen, "sample", training.loss_and_gradients))
     monkeypatch.setattr(backtest, "mvp_plus_weights",
-                        recording("allocate", backtest.mvp_plus_weights))
-    monkeypatch.setattr(backtest, "_hold_period", recording("hold", backtest._hold_period))
+                        _recording(seen, "allocate", backtest.mvp_plus_weights))
+    monkeypatch.setattr(backtest, "_hold_period",
+                        _recording(seen, "hold", backtest._hold_period))
     panel = _factor_panel(1, 3, 220)
     net = DenoiserConfig(input_size=3, num_blocks=1, num_filters=2, kernel=3,
                          epochs=1, batch_size=8, seed=4)
@@ -180,8 +178,52 @@ def test_walk_forward_trains_at_the_host_count_and_allocates_and_holds_pinned(
         denoiser_config=net, train_window_count=4, train_stride=2, pre_history_days=60,
     )
     backtest.walk_forward(panel, config)
-    assert seen == {"train": [host_count] * 2, "allocate": [1] * 2, "hold": [1] * 2}
+    # two windows, each training on its four samples
+    assert seen == {"sample": [1] * 8, "allocate": [1] * 2, "hold": [1] * 2}
     assert _count() == host_count
+
+
+def _train_tensors(monkeypatch, pool_size):
+    @contextmanager
+    def yielding_pool_size():
+        with single_blas_thread():
+            yield pool_size
+
+    monkeypatch.setattr(training, "single_blas_thread", yielding_pool_size)
+    spec = ModelSpec(kind=ModelKind.BLOCK, p=10, block_sizes=(5, 5), gamma=0.3)
+    data = training.build_training_set_simulation(spec, 30, 9, seed=2)
+    config = DenoiserConfig(input_size=10, num_blocks=1, num_filters=4, kernel=3, seed=1,
+                            batch_size=4, epochs=2)
+    weights, history = training.train(config, data)
+    return [t.tobytes() for t in weights.tensors()], history
+
+
+def test_trained_bits_do_not_depend_on_the_pool_size(monkeypatch):
+    one = _train_tensors(monkeypatch, 1)
+    assert _train_tensors(monkeypatch, 3) == one
+
+
+@needs_control
+def test_training_writes_the_same_loss_curve_whatever_the_hosts_blas_threads(tmp_path):
+    # while a batch's kernel gradients were one long contraction, OpenBLAS
+    # split it across its threads and the two curves differed
+    args = ["train", "--source", "simulation", "--model", "block", "--block-sizes", "10,10,20",
+            "--n", "80", "--count", "8", "--net-blocks", "2", "--filters", "32",
+            "--batch-size", "4", "--epochs", "2", "--seed", "1"]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(SRC)
+    curves = []
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "covdenoise.cli", *args,
+             "--weights-out", str(out / "w.cdnw"), "--loss-curve-out", str(out / "loss.csv")],
+            env={**env, **extra}, capture_output=True, timeout=120, check=True,
+        )
+        curves.append((out / "loss.csv").read_bytes())
+    assert curves[0] == curves[1]
 
 
 @pytest.mark.parametrize(
@@ -196,6 +238,12 @@ def test_lookup_without_a_thread_control_logs_why_and_returns_none(
         assert _blas._lookup.__wrapped__() is None
     assert [record.levelno for record in caplog.records] == [logging.DEBUG]
     assert why in caplog.records[0].getMessage()
+
+
+def test_without_a_thread_control_the_block_yields_one_pool_thread(monkeypatch):
+    monkeypatch.setattr(_blas, "_lookup", lambda: None)
+    with single_blas_thread() as pool_size:
+        assert pool_size == 1
 
 
 def test_reports_are_identical_when_no_thread_control_is_found(monkeypatch):

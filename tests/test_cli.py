@@ -494,10 +494,11 @@ def test_simulate_rows_match_the_reference_loss(runner, tmp_path):
 
 
 # The "0.2" digest was recorded when one-channel convolutions became one GEMM
-# each; test_loss_curve_stays_at_the_recorded_values bounds the move.
+# each, the "0" digest when batches became in-order sums of one-sample losses;
+# test_loss_curve_stays_at_the_recorded_values bounds each move.
 GOLDEN_LOSS_CURVES = {
     "0.2": "5db4d322db8ccde46eb285969093601546b5ed7748e19e06641011a19bec5f38",
-    "0": "fea9a16b6605871fbe7c06c14b2dcec4ee962b3b1c0f924f2cfcc95eac350e54",
+    "0": "52a3536f5744bf969c7494aea5335663ff5e02ed2c10f4dbfd22889c665b30ac",
 }
 
 # (train_mse, validation_mse) per epoch, as written before that change.
