@@ -1,6 +1,10 @@
 """Price CSV loading, the cleaning pipeline, log-return panels, and the one
 CSV codec every table of the package is written and read with.
 
+The cleaning pipeline applies each of its rules as one step on the whole
+(dates x symbols) price array: a column mask, a forward fill, a vector of
+log-return deviations, and a mask for the exclusion list.
+
 Panel CSV shape: first column headed ``date`` with ``YYYY-MM-DD`` dates, one
 column per asset symbol.  Empty cells mark missing prices; literal "NaN" text
 is rejected rather than silently coerced.
@@ -9,6 +13,7 @@ is rejected rather than silently coerced.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -193,17 +198,6 @@ def write_prices(panel: PricePanel, path) -> None:
     write_dated_table(path, panel.symbols, panel.dates, cells.tolist())
 
 
-def _forward_fill(column: np.ndarray) -> np.ndarray | None:
-    """Fill gaps with the last observed price; None if the series starts missing."""
-    if math.isnan(column[0]):
-        return None
-    filled = column.copy()
-    for i in range(1, filled.size):
-        if math.isnan(filled[i]):
-            filled[i] = filled[i - 1]
-    return filled
-
-
 def clean_panel(
     panel: PricePanel,
     missing_threshold: float = 0.01,
@@ -216,7 +210,9 @@ def clean_panel(
     threshold (or that start unobserved), forward-fill remaining gaps, drop
     the ceil(quantile * count) most volatile symbols by log-return standard
     deviation (ties resolved against the later alphabetical symbol), then
-    drop the explicit exclusion list.
+    drop the explicit exclusion list.  An exclusion list entry that names no
+    symbol of ``panel`` draws a warning; one that an earlier rule dropped
+    does not, and is not counted as excluded.
     """
     cleaned, _ = clean_panel_report(panel, missing_threshold, volatility_quantile, exclusions)
     return cleaned
@@ -232,54 +228,46 @@ def clean_panel_report(
     if not 0.0 <= missing_threshold <= 1.0 or not 0.0 <= volatility_quantile <= 1.0:
         raise ParameterError("thresholds must lie in [0, 1]")
     exclusions = list(exclusions or [])
-    kept: list[int] = []
-    filled_columns: dict[int, np.ndarray] = {}
-    dropped = {"missing": 0, "volatility": 0, "excluded": 0}
-    for j in range(len(panel.symbols)):
-        column = panel.prices[:, j]
-        missing_fraction = float(np.isnan(column).mean())
-        if missing_fraction > missing_threshold:
-            dropped["missing"] += 1
-            continue
-        filled = _forward_fill(column)
-        if filled is None:
-            dropped["missing"] += 1
-            continue
-        kept.append(j)
-        filled_columns[j] = filled
-    if not kept:
+    for name in exclusions:
+        if name not in panel.symbols:
+            warnings.warn(f"exclusion list entry {name!r} not present in the panel")
+    missing = np.isnan(panel.prices)
+    kept = np.flatnonzero((missing.mean(axis=0) <= missing_threshold) & ~missing[0])
+    dropped = {"missing": len(panel.symbols) - kept.size, "volatility": 0, "excluded": 0}
+    if not kept.size:
         raise DataError("cleaning removed every symbol (missing-value rule)")
 
+    # one row per kept symbol; each day takes the price of its last observed day
+    rows = np.take_along_axis(
+        panel.prices.T[kept],
+        np.maximum.accumulate(np.where(missing.T[kept], 0, np.arange(len(panel.dates))), axis=1),
+        axis=1,
+    )
+    names = [panel.symbols[j] for j in kept]
+
+    keep = np.ones(kept.size, dtype=bool)
     if volatility_quantile > 0.0:
-        deviations = {}
-        for j in kept:
-            log_prices = np.log(filled_columns[j])
-            deviations[j] = float(np.std(np.diff(log_prices), ddof=1))
-        drop_count = math.ceil(len(kept) * volatility_quantile)
-        by_alpha_desc = sorted(kept, key=lambda j: panel.symbols[j], reverse=True)
-        by_volatility = sorted(by_alpha_desc, key=lambda j: -deviations[j])
-        to_drop = set(by_volatility[:drop_count])
-        dropped["volatility"] = len(to_drop)
-        kept = [j for j in kept if j not in to_drop]
-    if not kept:
+        # np.std sums a contiguous row pairwise, as it does a lone series, so each
+        # deviation, and with it each tie, is bit for bit that of its symbol alone
+        deviations = np.std(np.diff(np.log(rows), axis=1), axis=1, ddof=1).tolist()
+        by_alpha_desc = sorted(range(kept.size), key=names.__getitem__, reverse=True)
+        by_volatility = sorted(by_alpha_desc, key=lambda i: -deviations[i])
+        volatile = by_volatility[: math.ceil(kept.size * volatility_quantile)]
+        keep[volatile] = False
+        dropped["volatility"] = len(volatile)
+    if not keep.any():
         raise DataError("cleaning removed every symbol (volatility rule)")
 
-    exclusion_set = set(exclusions)
-    remaining_symbols = {panel.symbols[j] for j in kept}
-    for name in exclusions:
-        if name not in remaining_symbols:
-            warnings.warn(f"exclusion list entry {name!r} not present in the panel")
-    before = len(kept)
-    kept = [j for j in kept if panel.symbols[j] not in exclusion_set]
-    dropped["excluded"] = before - len(kept)
-    if not kept:
+    listed = np.isin(names, exclusions)
+    dropped["excluded"] = int(np.count_nonzero(keep & listed))
+    keep &= ~listed
+    if not keep.any():
         raise DataError("cleaning removed every symbol (exclusion list)")
 
-    prices = np.column_stack([filled_columns[j] for j in kept])
     cleaned = PricePanel(
         dates=panel.dates,
-        symbols=tuple(panel.symbols[j] for j in kept),
-        prices=prices,
+        symbols=tuple(itertools.compress(names, keep)),
+        prices=rows.T.compress(keep, axis=1),  # C order, as the loaders give
     )
     return cleaned, dropped
 

@@ -173,18 +173,7 @@ def _starting_support(support, p: int, rank: int) -> np.ndarray | None:
 def _ratio_test(falling: np.ndarray, ratios: np.ndarray) -> tuple[float, int]:
     """Step length and blocking coordinate (-1 for a full step) of a scan that
     walks ``falling`` in order and takes each ratio below the running limit,
-    which starts at 1, minus 1e-15.
-
-    The scan ends on the argmin whenever that lies below 1 - 1e-15 and no
-    other ratio r has r - 1e-15 <= min: had it ended on another coordinate,
-    the argmin would have been passed over for lying within 1e-15 above that
-    coordinate's ratio.  Only near-ties run the scan itself.
-    """
-    if ratios.size:
-        first = int(ratios.argmin())
-        low = float(ratios[first])
-        if low < 1.0 - 1e-15 and np.count_nonzero(ratios - 1e-15 <= low) == 1:
-            return low, int(falling[first])
+    which starts at 1, minus 1e-15."""
     limit, blocker = 1.0, -1
     for asset, ratio in zip(falling, ratios):
         if ratio < limit - 1e-15:

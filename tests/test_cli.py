@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from covdenoise.backtest import WalkForwardConfig
 from covdenoise.cli import cli
 from covdenoise.denoiser import DenoiserConfig
+from covdenoise.ingest import PricePanel, write_prices
 
 
 @pytest.fixture
@@ -144,6 +145,52 @@ def test_clean_exclusion_file(runner, tmp_path):
 def test_clean_missing_input_exits_2(runner, tmp_path):
     result = runner.invoke(cli, ["clean", "--input", str(tmp_path / "absent.csv")])
     assert result.exit_code == 2
+
+
+def make_crypto_price_csv(path, days=120, seed=7):
+    """Seeded prices with every case the cleaning rules handle: one missing
+    day in each of six symbols, a gappy symbol, a late listing, and two flat
+    stablecoins."""
+    rng = np.random.default_rng(seed)
+    risky = 8
+    scale = rng.uniform(0.01, 0.08, risky)
+    log_prices = rng.uniform(-2.0, 6.0, risky) + np.cumsum(
+        rng.standard_normal((days, risky)) * scale, axis=0
+    )
+    prices = np.exp(log_prices)
+    prices[rng.integers(1, days, risky - 2), np.arange(2, risky)] = np.nan
+    prices[rng.random(days) < 0.1, 0] = np.nan
+    prices[:20, 1] = np.nan
+    prices = np.column_stack([prices, np.ones((days, 2))])
+    symbols = tuple(f"C{i}-USD" for i in range(risky)) + ("USDT-USD", "USDC-USD")
+    dates = tuple((dt.date(2021, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(days))
+    write_prices(PricePanel(dates, symbols, prices), path)
+
+
+# sha256 of the files `covdenoise clean` writes from make_crypto_price_csv,
+# recorded while the rules walked the panel one symbol and one day at a time.
+GOLDEN_CLEAN_FILES = {
+    "cleaned.csv": "6070ade84ab49c3884187eb8580aa3885813c00d190d14ede3e3061a6475350f",
+    "returns.csv": "d4180838aeab2b32db08521767a889434dbcaa7b2b57623dc6d711d1b7221baa",
+}
+
+
+def test_clean_keeps_its_bytes(runner, tmp_path):
+    make_crypto_price_csv(tmp_path / "prices.csv")
+    (tmp_path / "exclude.txt").write_text("# stablecoins\nUSDT-USD\nUSDC-USD\n")
+    result = runner.invoke(
+        cli,
+        ["clean", "--input", str(tmp_path / "prices.csv"),
+         "--output-prices", str(tmp_path / "cleaned.csv"),
+         "--output-returns", str(tmp_path / "returns.csv"),
+         "--missing-threshold", "0.02", "--exclude-file", str(tmp_path / "exclude.txt")],
+    )
+    assert result.exit_code == 0, result.output
+    assert (
+        "dropped: 2 (missing rule), 1 (volatility rule), 2 (exclusion list); kept 5 symbols\n"
+        in result.output
+    )
+    assert _digests(tmp_path, GOLDEN_CLEAN_FILES) == GOLDEN_CLEAN_FILES
 
 
 def test_train_simulation_loss_curve(runner, tmp_path):

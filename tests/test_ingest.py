@@ -1,6 +1,8 @@
 import datetime as dt
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -184,9 +186,24 @@ def test_clean_volatility_rule_drops_ceiling_count(rng):
 def test_clean_exclusions_and_missing_warning():
     days = 50
     panel = make_panel({"AAA": np.full(days, 1.0), "BBB": np.full(days, 2.0)}, days)
-    with pytest.warns(UserWarning, match="GHOST"):
+    with pytest.warns(UserWarning, match="GHOST") as caught:
         cleaned = clean_panel(panel, 1.0, 0.0, exclusions=["BBB", "GHOST"])
     assert cleaned.symbols == ("AAA",)
+    assert len(caught) == 1
+
+
+def test_clean_does_not_warn_of_an_excluded_symbol_an_earlier_rule_dropped():
+    days = 40
+    stablecoin = np.full(days, 1.0)
+    stablecoin[5:15] = np.nan
+    panel = make_panel({"BTC-USD": np.full(days, 30000.0), "USDT-USD": stablecoin}, days)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cleaned, summary = clean_panel_report(
+            panel, volatility_quantile=0.0, exclusions=["USDT-USD"]
+        )
+    assert cleaned.symbols == ("BTC-USD",)
+    assert summary == {"missing": 1, "volatility": 0, "excluded": 0}
 
 
 def test_clean_idempotent_without_volatility_rule(rng):
@@ -250,6 +267,84 @@ def test_clean_rejects_thresholds_outside_the_unit_interval(rng, kwargs):
     panel = make_panel({"A": np.exp(rng.normal(0, 0.01, days).cumsum())}, days)
     with pytest.raises(ParameterError, match=r"thresholds must lie in \[0, 1\]"):
         clean_panel_report(panel, **kwargs)
+
+
+def _reference_clean(panel, missing_threshold, volatility_quantile, exclusions):
+    """The cleaning rules taken one symbol and one day at a time, as the
+    package once applied them."""
+    kept, filled_columns = [], {}
+    dropped = {"missing": 0, "volatility": 0, "excluded": 0}
+    for j in range(len(panel.symbols)):
+        column = panel.prices[:, j]
+        if float(np.isnan(column).mean()) > missing_threshold or math.isnan(column[0]):
+            dropped["missing"] += 1
+            continue
+        filled = column.copy()
+        for i in range(1, filled.size):
+            if math.isnan(filled[i]):
+                filled[i] = filled[i - 1]
+        kept.append(j)
+        filled_columns[j] = filled
+    if not kept:
+        raise DataError("cleaning removed every symbol (missing-value rule)")
+    if volatility_quantile > 0.0:
+        deviations = {j: float(np.std(np.diff(np.log(filled_columns[j])), ddof=1)) for j in kept}
+        drop_count = math.ceil(len(kept) * volatility_quantile)
+        by_alpha_desc = sorted(kept, key=lambda j: panel.symbols[j], reverse=True)
+        to_drop = set(sorted(by_alpha_desc, key=lambda j: -deviations[j])[:drop_count])
+        dropped["volatility"] = len(to_drop)
+        kept = [j for j in kept if j not in to_drop]
+    if not kept:
+        raise DataError("cleaning removed every symbol (volatility rule)")
+    before = len(kept)
+    kept = [j for j in kept if panel.symbols[j] not in exclusions]
+    dropped["excluded"] = before - len(kept)
+    if not kept:
+        raise DataError("cleaning removed every symbol (exclusion list)")
+    prices = np.column_stack([filled_columns[j] for j in kept])
+    return PricePanel(panel.dates, tuple(panel.symbols[j] for j in kept), prices), dropped
+
+
+def _random_price_panel(rng):
+    """Prices with random gaps, some symbols unobserved on the first day, some
+    columns repeated under a second name, which ties their volatility, and
+    some run backwards: without gaps, those differ in volatility from the
+    forward column only by the order of the sums, a near-tie that only the
+    same summation order ranks alike."""
+    n_dates, n_symbols = int(rng.integers(3, 60)), int(rng.integers(1, 10))
+    log_prices = np.cumsum(
+        rng.standard_normal((n_dates, n_symbols)) * rng.uniform(0.001, 0.1, n_symbols), axis=0
+    )
+    prices = np.exp(log_prices + rng.uniform(-3.0, 8.0, n_symbols))
+    prices[rng.random(prices.shape) < rng.uniform(0.0, 0.1)] = np.nan
+    prices[0, rng.random(n_symbols) < 0.2] = np.nan
+    copies = rng.integers(0, n_symbols, int(rng.integers(0, 3)))
+    reversed_ = rng.integers(0, n_symbols, int(rng.integers(0, 3)))
+    prices = np.column_stack([prices, prices[:, copies], prices[::-1, reversed_]])
+    dates, _ = _random_axes(rng, n_dates, 0)
+    names = rng.permutation([f"S{i:02d}" for i in range(prices.shape[1])])
+    return PricePanel(dates, tuple(names.tolist()), prices)
+
+
+@pytest.mark.parametrize("missing_threshold", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("volatility_quantile", [0.0, 0.1, 0.5])
+@pytest.mark.filterwarnings("ignore:exclusion list entry")
+def test_clean_matches_the_per_symbol_rules(missing_threshold, volatility_quantile):
+    rng = np.random.default_rng(round(100 * missing_threshold + 1000 * volatility_quantile))
+    for _ in range(40):
+        panel = _random_price_panel(rng)
+        listed = rng.choice(panel.symbols, size=min(int(rng.integers(0, 3)), len(panel.symbols)))
+        args = (panel, missing_threshold, volatility_quantile, [*listed.tolist(), "GHOST"])
+        try:
+            expected, expected_dropped = _reference_clean(*args)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                clean_panel_report(*args)
+            continue
+        cleaned, dropped = clean_panel_report(*args)
+        assert (cleaned.symbols, dropped) == (expected.symbols, expected_dropped)
+        assert np.array_equal(_bits(cleaned.prices), _bits(expected.prices))
+        assert cleaned.prices.flags.c_contiguous
 
 
 def test_log_returns_basics():
