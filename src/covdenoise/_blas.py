@@ -27,12 +27,15 @@ libraries already loaded, so a second BLAS is never loaded.  The thread
 control, ``cblas_dgemm`` and ``dsyevd`` are taken from the same library, each
 spelled like the thread control (``scipy_cblas_dgemm64_`` and
 ``scipy_dsyevd_64_`` beside ``scipy_openblas_get_num_threads64_``,
-``cblas_dgemm`` and ``dsyevd_`` beside ``openblas_get_num_threads``); a
-``64_`` suffix means 64-bit integer arguments, no suffix C ``int``.  Without
-an OpenBLAS (MKL, Accelerate, reference BLAS) :func:`single_blas_thread` does
-nothing, and there, or where the OpenBLAS exports no such symbol,
-:func:`add_matmul` runs ``out += a @ b`` in NumPy and the eigenvalues come
-from ``np.linalg.eigvalsh``: the same results, through NumPy.
+``cblas_dgemm`` and ``dsyevd_`` beside ``openblas_get_num_threads``), and each
+is typed by one binder, :func:`_bind`.  :func:`_lookup` reads the integer
+width once from the suffix (``64_``: 64-bit integers; none: C ``int``) for
+``cblas_dgemm``'s sizes, ``dsyevd``'s integer arrays and :func:`add_matmul`'s
+range check.  Without an OpenBLAS (MKL, Accelerate, reference BLAS)
+:func:`single_blas_thread` does nothing, and there, or where the OpenBLAS
+exports no such symbol, :func:`add_matmul` runs ``out += a @ b`` in NumPy and
+the eigenvalues come from ``np.linalg.eigvalsh``: the same results, through
+NumPy.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class _OpenBLAS(NamedTuple):
     set_threads: Callable[[int], None]
     gemm: Callable[..., None] | None
     dsyevd: Callable[..., None] | None = None
-    # NumPy dtype of the library's integer arguments, which dsyevd takes by pointer
+    # NumPy dtype of the library's integers: gemm's sizes, dsyevd's integer arrays
     integer: type = np.intc
 
 
@@ -83,7 +86,7 @@ def _openblas_paths() -> list[str]:
 @functools.cache
 def _lookup() -> _OpenBLAS | None:
     """The loaded OpenBLAS's thread count (get, set), its cblas_dgemm and
-    dsyevd, or None."""
+    dsyevd, and its integer width, or None."""
     paths = _openblas_paths()
     for path in paths:
         try:
@@ -92,49 +95,36 @@ def _lookup() -> _OpenBLAS | None:
             continue
         for (prefix, cblas, lapack), suffix in itertools.product(_SYMBOL_PREFIXES,
                                                                  _SYMBOL_SUFFIXES):
-            names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-            if all(hasattr(library, name) for name in names):
-                get, set_ = (getattr(library, name) for name in names)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return _OpenBLAS(get, set_, _dgemm(library, f"{cblas}_dgemm{suffix}"),
-                                 _dsyevd(library, f"{lapack}dsyevd_{suffix}"),
-                                 np.int64 if suffix else np.intc)
+            get, set_ = (f"{prefix}_{verb}_num_threads{suffix}" for verb in ("get", "set"))
+            if not (hasattr(library, get) and hasattr(library, set_)):
+                continue
+            # The integer width follows the suffix: a mismatch would corrupt memory.
+            integer, index = (np.int64, ctypes.c_int64) if suffix else (np.intc, ctypes.c_int)
+            enum, real, pointer = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+            return _OpenBLAS(
+                _bind(library, get, [], ctypes.c_int),
+                _bind(library, set_, [ctypes.c_int]),
+                _bind(library, f"{cblas}_dgemm{suffix}", [enum] * 3 + [index] * 3
+                      + [real, pointer, index, pointer, index, real, pointer, index]),
+                # jobz and uplo as one-character strings, pointers to n, a, lda,
+                # w, work, lwork, iwork, liwork and info, the strings' hidden lengths
+                _bind(library, f"{lapack}dsyevd_{suffix}",
+                      [ctypes.c_char_p] * 2 + [pointer] * 9 + [ctypes.c_size_t] * 2),
+                integer,
+            )
     why = f"no thread control in {paths}" if paths else "no OpenBLAS is loaded"
     _log.debug("BLAS thread count left unpinned: %s", why)
     return None
 
 
-def _dgemm(library: ctypes.CDLL, name: str) -> Callable[..., None] | None:
-    """``library``'s cblas_dgemm spelled ``name``, typed for its integer width, or None."""
+def _bind(library: ctypes.CDLL, name: str, argtypes: list, restype=None) -> Callable | None:
+    """``library``'s function ``name`` typed with ``argtypes`` and ``restype``, or None."""
     if not hasattr(library, name):
-        _log.debug("no %s in the loaded OpenBLAS: add_matmul runs in NumPy", name)
+        _log.debug("no %s in the loaded OpenBLAS: NumPy does its work", name)
         return None
-    gemm = getattr(library, name)
-    # The integer type follows the name: a mismatch would corrupt memory.
-    index = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
-    enum, real, pointer = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-    gemm.argtypes = [enum, enum, enum, index, index, index,
-                     real, pointer, index, pointer, index, real, pointer, index]
-    gemm.restype = None
-    return gemm
-
-
-def _dsyevd(library: ctypes.CDLL, name: str) -> Callable[..., None] | None:
-    """``library``'s Fortran dsyevd spelled ``name``, or None.
-
-    Its arguments: jobz and uplo as one-character strings, then pointers to
-    n, a, lda, w, work, lwork, iwork, liwork and info, then the two hidden
-    lengths of the strings.  The integers lie in memory, so their width is
-    the caller's: the ``integer`` dtype beside it.
-    """
-    if not hasattr(library, name):
-        _log.debug("no %s in the loaded OpenBLAS: eigenvalues come from NumPy", name)
-        return None
-    syevd = getattr(library, name)
-    syevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
-    syevd.restype = None
-    return syevd
+    function = getattr(library, name)
+    function.argtypes, function.restype = argtypes, restype
+    return function
 
 
 def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -171,7 +161,7 @@ def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         return
     (m, k), n = a.shape, b.shape[1]
     lda, ldb, ldc = (array.strides[0] // 8 for array in (a, b, out))
-    if max(m, n, k, lda, ldb, ldc) >= 2 ** (8 * ctypes.sizeof(gemm.argtypes[3]) - 1):
+    if max(m, n, k, lda, ldb, ldc) > np.iinfo(library.integer).max:
         raise ValueError(f"sizes or strides exceed {gemm.__name__}'s integer range")
     # 101, 111: the CBLAS enum values of CblasRowMajor and CblasNoTrans
     gemm(101, 111, 111, m, n, k, 1.0, a.ctypes.data, lda, b.ctypes.data, ldb,

@@ -6,10 +6,12 @@ holds from the first date on or after ``split_date`` run back to back, never
 overlapping, until fewer than ``t_out`` days are left.  Buy-and-hold is one
 hold over exactly those days.
 
-Weights drift with prices inside each hold period (no daily renormalization);
-turnover is measured between the drifted weights and the next target
-allocation.  Nothing after a rebalance boundary ever enters that rebalance's
-estimate, so the engine is free of look-ahead by construction.
+Under simple returns weights drift with prices inside each hold period (no
+daily renormalization); under log returns they stay at the target, each
+day's return being exp(w·r) − 1.  Turnover is measured between the weights
+at the end of a hold and the next target allocation.  Nothing after a
+rebalance boundary ever enters that rebalance's estimate, so the engine is
+free of look-ahead by construction.
 
 Each window's long-only QP starts from the previous allocation's support
 (the ``support`` warm start of :func:`~covdenoise.portfolio.mvp_plus_weights`):
@@ -48,7 +50,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .atomic import atomic_write
 from .covariance import CovarianceMatrix, window_covariance
-from .errors import CovDenoiseError, ParameterError
+from .errors import CovDenoiseError, NumericError, ParameterError
 from .estimators import make_estimator, network_mode, validated_sample
 from .ingest import ReturnsPanel, is_iso_date, write_dated_table
 from .portfolio import PerformanceMetrics, WeightVector, mvp_plus_weights, portfolio_metrics
@@ -83,11 +85,13 @@ class WalkForwardConfig:
             raise ParameterError(f"return_mode must be one of {RETURN_MODES}")
         if mode is not None and self.train_window_count < 2:
             raise ParameterError("trained estimators need train_window_count >= 2")
+        if mode is not None and self.denoiser_config is None:
+            raise ParameterError(f"estimator {self.estimator!r} requires a denoiser configuration")
         if self.train_stride < 1 or self.pre_history_days < 0:
             raise ParameterError("train_stride must be >= 1 and pre_history_days >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class BacktestReport:
     rebalance_dates: list[str]
     weight_history: list[WeightVector]
@@ -133,8 +137,6 @@ def _hold_period(
 def _train_window_weights(config: WalkForwardConfig, mode: str, training_block: np.ndarray):
     from .denoiser import build_training_set_rolling, train
 
-    if config.denoiser_config is None:
-        raise ParameterError(f"estimator {config.estimator!r} requires a denoiser configuration")
     data = build_training_set_rolling(
         training_block,
         window_length=config.t_in,
@@ -229,7 +231,7 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
         try:
             estimate = estimator(sample)
         except CovDenoiseError as exc:
-            raise type(exc)(
+            raise NumericError(
                 f"estimator {config.estimator!r} failed at rebalance window {k} "
                 f"({panel.dates[boundary]}): {exc}"
             ) from exc

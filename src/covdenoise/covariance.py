@@ -42,7 +42,7 @@ def as_matrix(m) -> np.ndarray:
     return m.values if isinstance(m, CovarianceMatrix) else np.asarray(m, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric PSD matrix with provenance.
 
@@ -61,9 +61,9 @@ class CovarianceMatrix:
     values: np.ndarray
     provenance: str = "sample"
     dim: int = field(init=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
     # lazily filled; shared with every retagged copy of these values
-    _cache: dict = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         from .spectral import symmetric_eigenvalues

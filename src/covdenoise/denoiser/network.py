@@ -73,7 +73,7 @@ class DenoiserConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidualBlockWeights:
     conv1_kernel: np.ndarray
     conv1_bias: np.ndarray
@@ -81,7 +81,7 @@ class ResidualBlockWeights:
     conv2_bias: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class DenoiserWeights:
     config: DenoiserConfig
     stem_kernel: np.ndarray

@@ -31,7 +31,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
     """Paired noisy inputs and targets, stacked (count, p, p)."""
 

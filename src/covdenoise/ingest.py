@@ -42,7 +42,7 @@ def _check_axes(dates: tuple[str, ...], symbols: tuple[str, ...]) -> None:
         seen.add(symbol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PricePanel:
     dates: tuple[str, ...]
     symbols: tuple[str, ...]
@@ -61,7 +61,7 @@ class PricePanel:
         object.__setattr__(self, "prices", prices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnsPanel:
     dates: tuple[str, ...]
     symbols: tuple[str, ...]

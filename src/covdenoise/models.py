@@ -100,7 +100,7 @@ class ModelSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleDraw:
     """One realization (p x n data matrix) and its sample covariance."""
 

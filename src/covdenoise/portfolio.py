@@ -10,7 +10,6 @@ import numpy as np
 
 from .covariance import as_matrix
 from .errors import ParameterError, SolverError
-from .ingest import format_row
 from .spectral import EIGENVALUE_FLOOR, floored_eigenvalues, floored_spectrum
 
 BUDGET_TOL = 1e-8
@@ -21,7 +20,7 @@ RELEASE_TOL = 1e-9
 DAYS_PER_YEAR = 365
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Portfolio weights on the budget hyperplane (sum to one)."""
 
@@ -205,11 +204,8 @@ class PerformanceMetrics:
             payload["zero_volatility"] = True
         return json.dumps(payload, indent=2) + "\n"
 
-    def to_csv_row(self) -> str:
-        return format_row(getattr(self, name) for name in _REPORTED_METRICS)
 
-
-# both serializations' columns; the JSON adds the zero_volatility flag when set
+# the JSON's columns; it adds the zero_volatility flag when set
 _REPORTED_METRICS = tuple(
     column.name for column in fields(PerformanceMetrics) if column.name != "zero_volatility"
 )
@@ -253,10 +249,9 @@ def portfolio_metrics(
             raise ParameterError(
                 f"expected {transitions} pre-rebalance weight vectors, got {len(previous)}"
             )
-        total = 0.0
-        for before, after in zip(previous, weight_history[1:]):
-            total += float(np.abs(np.asarray(after, dtype=float) - np.asarray(before, dtype=float)).sum())
-        turnover = total / transitions
+        changes = np.abs(np.asarray(weight_history[1:], dtype=float)
+                         - np.asarray(previous, dtype=float)).sum(axis=1)
+        turnover = sum(changes.tolist()) / transitions
     return PerformanceMetrics(
         cumulative_return=cumulative,
         annual_return=float(annual_return),

@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 EIGENVALUE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues sorted descending; eigenvector k in column k.
 

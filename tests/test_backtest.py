@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,25 @@ def test_rebalance_count_formula(available, t_out, delta, expected):
 def test_hold_length_must_equal_the_rebalance_step(t_out, delta_t):
     with pytest.raises(ParameterError, match=rf"delta_t \({delta_t}\).*t_out \({t_out}\)"):
         WalkForwardConfig(split_date="2023-03-01", t_out=t_out, delta_t=delta_t)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"t_in": 1}, "t_in, t_out and delta_t must all be >= 2"),
+     ({"t_out": 1, "delta_t": 1}, "t_in, t_out and delta_t must all be >= 2"),
+     ({"return_mode": "arithmetic"}, "return_mode must be one of ('simple', 'log')"),
+     ({"estimator": "cnn", "train_window_count": 1,
+       "denoiser_config": DenoiserConfig(input_size=3)}, "need train_window_count >= 2"),
+     ({"estimator": "2s-hybrid"}, "estimator '2s-hybrid' requires a denoiser configuration"),
+     ({"train_stride": 0}, "train_stride must be >= 1 and pre_history_days >= 0"),
+     ({"pre_history_days": -1}, "train_stride must be >= 1 and pre_history_days >= 0")],
+    ids=["t_in", "t_out", "return_mode", "train_window_count", "denoiser_config",
+         "train_stride", "pre_history_days"],
+)
+def test_walk_forward_config_rejects_each_bad_field_at_construction(overrides, message):
+    # a learned estimator without a network fails here, before any window runs
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        WalkForwardConfig(split_date="2023-03-01", **overrides)
 
 
 # "2023-04-1" sorts between 2023-04-09 and 2023-04-10, so a string search

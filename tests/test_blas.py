@@ -350,33 +350,67 @@ def test_the_gemm_integer_type_follows_the_resolved_symbol():
     assert [gemm.argtypes[i] for i in (3, 4, 5, 8, 10, 13)] == [index] * 6
 
 
+def _lookup_in(monkeypatch, *names):
+    """What _lookup finds in a stand-in OpenBLAS that exports ``names``, each
+    recording its calls in the returned list."""
+    calls = []
+
+    def export(name):
+        def function(*args):
+            calls.append((name, args))
+        function.__name__ = name
+        return function
+
+    library = SimpleNamespace(**{name: export(name) for name in names})
+    monkeypatch.setattr(_blas, "_openblas_paths", lambda: ["libopenblas.so"])
+    monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path, mode: library)
+    return _blas._lookup.__wrapped__(), calls
+
+
+def _exports(gemm_name, skip=None):
+    """The thread control, cblas_dgemm and dsyevd of the build that spells its
+    gemm ``gemm_name``, less the ``skip`` symbol."""
+    stems = ("openblas_get_num_threads", "openblas_set_num_threads", "cblas_dgemm", "dsyevd_")
+    return [gemm_name.replace("cblas_dgemm", stem) for stem in stems if stem != skip]
+
+
 @pytest.mark.parametrize("name,index", [("scipy_cblas_dgemm64_", ctypes.c_int64),
                                         ("cblas_dgemm64_", ctypes.c_int64),
                                         ("scipy_cblas_dgemm", ctypes.c_int),
                                         ("cblas_dgemm", ctypes.c_int)])
-def test_each_gemm_spelling_gets_the_integer_type_of_its_name(name, index):
-    library = SimpleNamespace(**{name: SimpleNamespace()})
-    gemm = _blas._dgemm(library, name)
+def test_each_gemm_spelling_gets_the_integer_type_of_its_name(monkeypatch, name, index):
+    found, _ = _lookup_in(monkeypatch, *_exports(name))
+    gemm = found.gemm
+    assert gemm.__name__ == name
     assert [gemm.argtypes[i] for i in (3, 4, 5, 8, 10, 13)] == [index] * 6
     assert gemm.argtypes[6] is gemm.argtypes[11] is ctypes.c_double
+    # the same width sizes dsyevd's integer arrays
+    assert found.dsyevd.__name__ == _exports(name)[3]
+    assert np.ctypeslib.as_ctypes_type(found.integer) is index
+    assert found.get_threads.restype is ctypes.c_int
+    assert found.set_threads.argtypes == [ctypes.c_int]
 
 
-def test_a_library_without_the_gemm_symbol_leaves_add_matmul_to_numpy(caplog):
+def test_a_library_without_the_gemm_symbol_leaves_add_matmul_to_numpy(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger=_blas.__name__):
-        assert _blas._dgemm(SimpleNamespace(), "cblas_dgemm") is None
-    assert "no cblas_dgemm" in caplog.records[0].getMessage()
+        found, calls = _lookup_in(monkeypatch, *_exports("cblas_dgemm", skip="cblas_dgemm"))
+    assert found.gemm is None and found.dsyevd is not None
+    assert [record.getMessage() for record in caplog.records] == [
+        "no cblas_dgemm in the loaded OpenBLAS: NumPy does its work"]
+    monkeypatch.setattr(_blas, "_lookup", lambda: found)
+    out, a, b = np.zeros((2, 2)), np.eye(2), np.full((2, 2), 3.0)
+    _blas.add_matmul(out, a, b)
+    assert out.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+    assert calls == []
 
 
 def test_sizes_past_a_32_bit_gemm_are_refused_before_the_call(monkeypatch):
-    calls = []
-    gemm = _blas._dgemm(SimpleNamespace(cblas_dgemm=lambda *args: calls.append(args)),
-                        "cblas_dgemm")
-    gemm.__name__ = "cblas_dgemm"
-    monkeypatch.setattr(_blas, "_lookup", lambda: _blas._OpenBLAS(None, None, gemm))
+    found, calls = _lookup_in(monkeypatch, *_exports("cblas_dgemm"))
+    monkeypatch.setattr(_blas, "_lookup", lambda: found)
     base = np.zeros(2)
     # rows 2**31 elements apart: never read, since the call is refused first
     b = np.lib.stride_tricks.as_strided(base, shape=(2, 1), strides=(8 * 2**31, 8))
-    with pytest.raises(ValueError, match="integer range"):
+    with pytest.raises(ValueError, match="cblas_dgemm's integer range"):
         _blas.add_matmul(np.zeros((3, 1)), np.ones((3, 2)), b)
     assert calls == []
 

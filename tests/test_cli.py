@@ -358,6 +358,29 @@ def test_backtest_uniform_single_asset_equals_buy_and_hold(runner, tmp_path):
     assert (a / "metrics.json").read_text() == (b / "metrics.json").read_text()
 
 
+def test_an_estimator_failing_in_a_window_exits_3(runner, tmp_path, monkeypatch):
+    # the estimate of a window is a numeric result, whatever error its
+    # validation raised: a non-PSD estimate is not a usage error
+    from covdenoise import estimators
+    from covdenoise.errors import ParameterError
+
+    def not_psd(s, n):
+        raise ParameterError("covariance not positive semidefinite (min eig -6.4e-06)")
+
+    monkeypatch.setattr(estimators, "estimate_lp", not_psd)
+    returns = _returns_csv(tmp_path, runner)
+    result = runner.invoke(
+        cli,
+        ["backtest", "--returns", str(returns), "--split-date", "2023-04-01",
+         "--t-in", "30", "--t-out", "30", "--delta-t", "30", "--estimator", "lp",
+         "--out-dir", str(tmp_path / "bt")],
+    )
+    assert result.exit_code == 3
+    assert ("estimator 'lp' failed at rebalance window 0 (2023-04-01): covariance not "
+            "positive semidefinite (min eig -6.4e-06)") in result.output
+    assert not (tmp_path / "bt" / "metrics.json").exists()
+
+
 def test_backtest_requires_symbol_for_buy_and_hold(runner, tmp_path):
     returns = _returns_csv(tmp_path, runner)
     result = runner.invoke(

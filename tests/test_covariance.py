@@ -172,3 +172,41 @@ def test_recomposed_matrix_runs_the_checks_that_need_no_lapack():
                                     / np.sqrt(2.0), "estimator:lp")
     with pytest.raises(ParameterError, match="unknown provenance"):
         CovarianceMatrix.recomposed(np.array([1.0, 2.0]), vectors, "bogus")
+
+
+def _value_types():
+    from covdenoise import WeightVector, portfolio_metrics
+    from covdenoise.backtest import BacktestReport
+    from covdenoise.denoiser import DenoiserConfig, TrainingSet, init_weights
+    from covdenoise.denoiser.network import ResidualBlockWeights
+    from covdenoise.ingest import PricePanel, ReturnsPanel
+    from covdenoise.models import SampleDraw
+    from covdenoise.spectral import SpectralDecomposition
+
+    dates = ("2024-01-01", "2024-01-02")
+    return {
+        "CovarianceMatrix": lambda: CovarianceMatrix(np.eye(2)),
+        "WeightVector": lambda: WeightVector(np.array([0.25, 0.75])),
+        "SpectralDecomposition": lambda: SpectralDecomposition(np.ones(2), np.eye(2)),
+        "SampleDraw": lambda: SampleDraw(np.ones((2, 3)), CovarianceMatrix(np.eye(2)), 3, 0),
+        "PricePanel": lambda: PricePanel(dates, ("A", "B"), np.ones((2, 2))),
+        "ReturnsPanel": lambda: ReturnsPanel(dates, ("A", "B"), np.zeros((2, 2))),
+        "TrainingSet": lambda: TrainingSet(np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+        "BacktestReport": lambda: BacktestReport(
+            list(dates[:1]), [WeightVector(np.array([0.5, 0.5]))], list(dates),
+            np.zeros(2), portfolio_metrics(np.zeros(2), [np.array([0.5, 0.5])]), ("A", "B")),
+        "DenoiserWeights": lambda: init_weights(DenoiserConfig(input_size=2, num_blocks=1,
+                                                               num_filters=2)),
+        "ResidualBlockWeights": lambda: ResidualBlockWeights(*(np.zeros(2) for _ in range(4))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_types()))
+def test_value_types_holding_arrays_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare the arrays (and raise on their truth
+    # value); a generated __hash__ would hash them (and raise: unhashable)
+    make = _value_types()[name]
+    one, same_contents = make(), make()
+    assert one == one
+    assert one != same_contents
+    assert len({one, same_contents, one}) == 2

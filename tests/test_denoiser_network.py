@@ -33,6 +33,20 @@ def test_config_validation():
         tiny_config(mode="magic")
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"input_size": 0}, "input_size must be positive"),
+     ({"num_blocks": 0}, "num_blocks and num_filters must be positive"),
+     ({"num_filters": 0}, "num_blocks and num_filters must be positive"),
+     ({"batch_size": 0}, "batch_size must be >= 1 and epochs >= 0"),
+     ({"epochs": -1}, "batch_size must be >= 1 and epochs >= 0")],
+    ids=["input_size", "num_blocks", "num_filters", "batch_size", "epochs"],
+)
+def test_config_rejects_each_nonpositive_size(overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        tiny_config(**overrides)
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1e-3])
 def test_config_rejects_a_learning_rate_that_is_not_finite_and_nonnegative(rate):
     with pytest.raises(ParameterError, match="learning_rate must be finite and nonnegative"):

