@@ -293,12 +293,12 @@ def write_report_files(report: BacktestReport, out_dir) -> dict[str, Path]:
         "wealth": out / "wealth.csv",
         "diagnostics": out / "diagnostics.json",
     }
-    weights = [allocation.weights.tolist() for allocation in report.weight_history]
+    weights = (allocation.weights.tolist() for allocation in report.weight_history)
     write_dated_table(paths["weights"], report.symbols, report.rebalance_dates, weights)
-    daily = report.daily_returns[:, None]
-    write_dated_table(paths["returns"], ("portfolio_return",), report.daily_dates, daily.tolist())
-    wealth = np.cumprod(1.0 + report.daily_returns)[:, None]
-    write_dated_table(paths["wealth"], ("wealth",), report.daily_dates, wealth.tolist())
+    daily = (row.tolist() for row in report.daily_returns[:, None])
+    write_dated_table(paths["returns"], ("portfolio_return",), report.daily_dates, daily)
+    wealth = (row.tolist() for row in np.cumprod(1.0 + report.daily_returns)[:, None])
+    write_dated_table(paths["wealth"], ("wealth",), report.daily_dates, wealth)
     atomic_write(paths["diagnostics"], json.dumps(report.diagnostics, indent=2) + "\n")
     atomic_write(paths["metrics"], report.metrics.to_json_text())
     return paths

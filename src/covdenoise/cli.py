@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .atomic import atomic_write
+from .atomic import atomic_write, text_lines
 from .backtest import (
     RETURN_MODES,
     WalkForwardConfig,
@@ -66,8 +66,12 @@ def _load_config(ctx: click.Context, _param: click.Parameter, path: str | None) 
         for param in ctx.command.params if param.name != "config"
         for spelling in (param.name, *(opt.lstrip("-") for opt in param.opts))
     }
+    try:
+        lines = list(text_lines(path))
+    except DataError as exc:
+        raise click.UsageError(str(exc), ctx) from exc
     entries: dict[str, str] = {}
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

@@ -12,11 +12,11 @@ over realizations, and training over samples, never inside BLAS.
 
 Each realization calls ``models.sample_covariance`` and :func:`mv_loss`
 directly.  Both read what their ``CovarianceMatrix`` arguments cache, so the
-population matrix is decomposed once per run and its Sigma^-2 built once,
-before any realization runs.  :func:`mv_loss` reads only the estimate's
-eigenvalues, which its validation already computed, so the one
-eigendecomposition of a realization is the sample's, for the estimators that
-need its vectors.
+population matrix is decomposed once per run and its square root and
+Sigma^-2 built once, before any realization runs.  :func:`mv_loss` reads
+only the estimate's eigenvalues, which its validation already computed, so
+the one eigendecomposition of a realization is the sample's, for the
+estimators that need its vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .covariance import CovarianceMatrix, as_matrix
 from .errors import CovDenoiseError, ParameterError, SingularMatrixError
 from .estimators import make_estimator, network_mode
 from .ingest import table_text
-from .models import ModelSpec, sample_covariance
+from .models import ModelSpec, matrix_sqrt_psd, sample_covariance
 from .randomness import (
     STREAM_HARNESS_COVARIANCE,
     STREAM_HARNESS_EIGENVECTORS,
@@ -184,9 +184,10 @@ def run_monte_carlo(
         )
         sigma = model.build()
         bound = {name: make_estimator(name, n, weights=weights.get(modes[name])) for name in names}
-        # sigma's spectrum and Sigma^-2 are filled before any realization
-        # runs, so pool threads only read them.  A singular sigma caches its
-        # spectrum only: every mv_loss raises and counts as a failure
+        # sigma's spectrum, square root and Sigma^-2 are filled before any
+        # realization runs, so pool threads only read them.  A singular sigma
+        # caches no Sigma^-2: every mv_loss raises and counts as a failure
+        matrix_sqrt_psd(sigma)
         with suppress(SingularMatrixError):
             _population_inverse(sigma)
 

@@ -8,6 +8,12 @@ log-return deviations, and a mask for the exclusion list.
 Panel CSV shape: first column headed ``date`` with ``YYYY-MM-DD`` dates, one
 column per asset symbol.  Empty cells mark missing prices; literal "NaN" text
 is rejected rather than silently coerced.
+
+The codec streams, so only one row of a table exists as Python objects at a
+time: a writer formats each row from its float64 row as the file is written,
+and a loader parses each line into a float64 row as it is read from the
+file, stacking the rows once at the end.  Tables are UTF-8 whatever the
+locale.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, text_lines
 from .errors import DataError, ParameterError
 
 
@@ -96,24 +102,24 @@ def is_iso_date(token: str) -> bool:
         return False
 
 
-def format_row(cells) -> str:
-    return ",".join(map(str, cells))
+def table_lines(header, rows) -> Iterator[str]:
+    """The package's CSV format, one line at a time: a header row, then one
+    line per row, every line ending in "\n" and every cell written with
+    ``str``.  A Python float's ``str`` is its ``repr``, which reads back bit
+    for bit; pass Python values (``ndarray.tolist()``), since under NumPy 2 a
+    NumPy scalar's repr is ``np.float64(...)``."""
+    for cells in itertools.chain((header,), rows):
+        yield ",".join(map(str, cells)) + "\n"
 
 
 def table_text(header, rows) -> str:
-    """The package's CSV format: a header row, then one line per row, every
-    line ending in "\n" and every cell written with ``str``.  A Python float's
-    ``str`` is its ``repr``, which reads back bit for bit; pass Python values
-    (``ndarray.tolist()``), since under NumPy 2 a NumPy scalar's repr is
-    ``np.float64(...)``."""
-    lines = [format_row(header)]
-    lines.extend(map(format_row, rows))
-    lines.append("")
-    return "\n".join(lines)
+    """The lines of :func:`table_lines` as one string."""
+    return "".join(table_lines(header, rows))
 
 
 def write_table(path, header, rows) -> None:
-    atomic_write(path, table_text(header, rows))
+    """Write the table to ``path`` as its rows arrive."""
+    atomic_write(path, table_lines(header, rows))
 
 
 def write_dated_table(path, names, dates, rows) -> None:
@@ -123,22 +129,26 @@ def write_dated_table(path, names, dates, rows) -> None:
     write_table(path, ("date", *names), dated_rows)
 
 
-def _read_dated_table(path, parse_row) -> tuple[tuple[str, ...], tuple[str, ...], list]:
-    """The column names after ``date``, the dates, and ``parse_row(cells,
-    row_number)`` of every data row; blank lines are skipped and rows are
-    numbered from 1 at the header."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+def _read_dated_table(path, parse_row) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """The column names after ``date``, the dates, and the (dates x names)
+    float array whose rows are ``parse_row(cells, row_number)`` of the data
+    rows; blank lines are skipped and rows are numbered from 1 at the header.
+
+    The file is read a line at a time and each row parsed as it is read, so
+    only one row exists as Python objects; the rows are stacked at the end."""
+    lines = text_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise DataError(f"{path}: empty file")
-    header = [token.strip() for token in lines[0].split(",")]
+    header = [token.strip() for token in first.split(",")]
     if header[0] != "date":
         raise DataError(f"{path}: first column must be headed 'date', got {header[:1]!r}")
     names = tuple(header[1:])
     if not names or not all(names):
         raise DataError(f"{path}: header must name at least one nonempty symbol")
     dates: list[str] = []
-    rows = []
-    for row_number, line in enumerate(lines[1:], start=2):
+    rows: list[np.ndarray] = []
+    for row_number, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -151,7 +161,7 @@ def _read_dated_table(path, parse_row) -> tuple[tuple[str, ...], tuple[str, ...]
         rows.append(parse_row(cells[1:], row_number))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return names, tuple(dates), rows
+    return names, tuple(dates), np.stack(rows)
 
 
 def _is_price(cell: str) -> bool:
@@ -161,13 +171,13 @@ def _is_price(cell: str) -> bool:
         return False
 
 
-def _price_row(cells: list[str], row: int) -> list[float | None]:
-    """Empty cells are missing (None, NaN in an array); anything else must be
-    a finite positive number."""
+def _price_row(cells: list[str], row: int) -> np.ndarray:
+    """Empty cells are missing (NaN); anything else must be a finite positive
+    number."""
     try:
         values = [float(cell) if cell.strip() else None for cell in cells]
         if all(value is None or 0.0 < value < math.inf for value in values):
-            return values
+            return np.array(values, dtype=float)
     except ValueError:
         pass
     column = next(i for i, cell in enumerate(cells) if not _is_price(cell))
@@ -177,9 +187,9 @@ def _price_row(cells: list[str], row: int) -> list[float | None]:
     )
 
 
-def _return_row(cells: list[str], row: int) -> list[float]:
+def _return_row(cells: list[str], row: int) -> np.ndarray:
     try:
-        return list(map(float, cells))
+        return np.array(list(map(float, cells)))
     except ValueError as exc:
         raise DataError(f"row {row}: bad return value ({exc})") from None
 
@@ -187,15 +197,14 @@ def _return_row(cells: list[str], row: int) -> list[float]:
 def load_prices(path) -> PricePanel:
     """Parse a price CSV; empty cells are missing, anything else must be a
     positive decimal price."""
-    symbols, dates, rows = _read_dated_table(path, _price_row)
-    return PricePanel(dates=dates, symbols=symbols, prices=np.array(rows, dtype=float))
+    symbols, dates, prices = _read_dated_table(path, _price_row)
+    return PricePanel(dates=dates, symbols=symbols, prices=prices)
 
 
 def write_prices(panel: PricePanel, path) -> None:
     """Missing prices are written as empty cells."""
-    cells = panel.prices.astype(object)
-    cells[np.isnan(panel.prices)] = ""
-    write_dated_table(path, panel.symbols, panel.dates, cells.tolist())
+    rows = (["" if math.isnan(value) else value for value in row.tolist()] for row in panel.prices)
+    write_dated_table(path, panel.symbols, panel.dates, rows)
 
 
 def clean_panel(
@@ -285,19 +294,20 @@ def log_returns(panel: PricePanel) -> ReturnsPanel:
 
 
 def write_returns(panel: ReturnsPanel, path) -> None:
-    write_dated_table(path, panel.symbols, panel.dates, panel.values.T.tolist())
+    rows = (row.tolist() for row in panel.values.T)
+    write_dated_table(path, panel.symbols, panel.dates, rows)
 
 
 def load_returns(path) -> ReturnsPanel:
     """Read a returns CSV written by :func:`write_returns` (same shape as prices)."""
-    symbols, dates, rows = _read_dated_table(path, _return_row)
-    return ReturnsPanel(dates=dates, symbols=symbols, values=np.array(rows).T)
+    symbols, dates, values = _read_dated_table(path, _return_row)
+    return ReturnsPanel(dates=dates, symbols=symbols, values=values.T)
 
 
 def read_exclusions(path) -> list[str]:
     """Newline-delimited symbol list; blank lines and '#' comments ignored."""
     names = []
-    for line in Path(path).read_text().splitlines():
+    for line in text_lines(path):
         token = line.strip()
         if token and not token.startswith("#"):
             names.append(token)

@@ -154,14 +154,23 @@ def build_powerlaw_model(p: int, alpha: float, seed: int) -> CovarianceMatrix:
 
 
 def matrix_sqrt_psd(sigma: CovarianceMatrix) -> np.ndarray:
-    """Symmetric PSD square root from the cached spectrum; clamps tiny negatives."""
-    eigenvalues, vectors = sigma.spectrum
-    if eigenvalues[0] < -PSD_REL_TOL * max(eigenvalues[-1], 0.0):
-        raise NumericError(
-            f"matrix square root of a non-PSD input (min eig {eigenvalues[0]:.3e})"
-        )
-    root = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    return symmetrize((vectors * root) @ vectors.T)
+    """Symmetric PSD square root from the cached spectrum; clamps tiny negatives.
+
+    Computed once per matrix and cached, read-only, beside its spectrum.  Not
+    locked: a matrix shared between threads must have its root filled before
+    the threads start.  A non-PSD input raises and caches nothing.
+    """
+    if "sqrt" not in sigma._cache:
+        eigenvalues, vectors = sigma.spectrum
+        if eigenvalues[0] < -PSD_REL_TOL * max(eigenvalues[-1], 0.0):
+            raise NumericError(
+                f"matrix square root of a non-PSD input (min eig {eigenvalues[0]:.3e})"
+            )
+        root = np.sqrt(np.clip(eigenvalues, 0.0, None))
+        values = symmetrize((vectors * root) @ vectors.T)
+        values.flags.writeable = False
+        sigma._cache["sqrt"] = values
+    return sigma._cache["sqrt"]
 
 
 def sample_covariance(sigma: CovarianceMatrix, n: int, seed: int) -> SampleDraw:

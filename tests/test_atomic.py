@@ -7,10 +7,11 @@ import pytest
 
 import covdenoise
 from covdenoise import atomic
-from covdenoise.atomic import atomic_write
+from covdenoise.atomic import atomic_write, text_lines
 from covdenoise.backtest import BacktestReport, write_report_files
 from covdenoise.denoiser import DenoiserConfig, init_weights, save_weights
-from covdenoise.ingest import PricePanel, ReturnsPanel, write_prices, write_returns
+from covdenoise.errors import DataError
+from covdenoise.ingest import PricePanel, ReturnsPanel, write_prices, write_returns, write_table
 from covdenoise.portfolio import WeightVector, portfolio_metrics
 
 
@@ -27,6 +28,67 @@ def test_writes_text_and_bytes(tmp_path):
     assert (tmp_path / "a.txt").read_text(encoding="utf-8") == "héllo\n"
     assert (tmp_path / "sub" / "b.bin").read_bytes() == b"\x00\x01"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "b.bin", "sub"]
+
+
+def test_writes_text_pieces_as_utf8(tmp_path):
+    atomic_write(tmp_path / "t.csv", iter(["date,A€\n", "", "2024-01-01,1.5\n"]))
+    assert (tmp_path / "t.csv").read_bytes() == "date,A€\n2024-01-01,1.5\n".encode("utf-8")
+
+
+def test_pieces_that_raise_midway_keep_the_previous_file_and_no_temp(tmp_path):
+    target = tmp_path / "t.csv"
+    write_table(target, ("date", "A"), [("2024-01-01", 1.0)])
+    before = target.read_bytes()
+
+    def rows():
+        for day in range(1, 1000):
+            if day == 700:
+                raise ValueError("row source failed")
+            yield (f"2024-01-{day:04d}", 1.0 / day)
+
+    with pytest.raises(ValueError, match="row source failed"):
+        write_table(target, ("date", "A"), rows())
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "a",
+        "a\nb",
+        "a\n\nb\n",
+        "a\r\nb\r\n\r\n",
+        "a\rb\r\rc",
+        "a\r\r\nb",
+        "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i\n",
+        "\ufeffdate,A€\r\n2024-01-01,1\n",
+        "x" * 20000 + "\ny",
+    ],
+)
+def test_text_lines_are_the_lines_of_the_whole_text(tmp_path, text):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(text_lines(path)) == path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"\xff", 1),
+        (b"a\nb\xffc\n", 2),
+        (b"a\rb\r\xff\n", 3),
+        (b"a\r\n\r\nb\x85\xe2\x82", 3),
+        (b"a\xc2\x85b\xff", 2),
+    ],
+)
+def test_text_lines_name_the_line_of_an_undecodable_byte(tmp_path, data, line):
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=rf": line {line} is not UTF-8 text"):
+        list(text_lines(path))
 
 
 def test_file_mode_matches_a_plain_write(tmp_path):

@@ -2,16 +2,21 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import covdenoise
 from covdenoise.backtest import WalkForwardConfig
 from covdenoise.cli import cli
 from covdenoise.denoiser import DenoiserConfig
-from covdenoise.ingest import PricePanel, write_prices
+from covdenoise.ingest import PricePanel, load_returns, write_prices
 
 
 @pytest.fixture
@@ -455,6 +460,52 @@ def test_config_file_rejects_unknown_key(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "bogus_flag" in result.output
+
+
+def _cli_in_the_c_locale(*args):
+    """Run the CLI in a fresh interpreter whose locale encoding is ASCII."""
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+               PYTHONPATH=str(Path(covdenoise.__file__).parents[1]))
+    code = "import sys; from covdenoise.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _utf8_inputs(tmp_path, bad=None):
+    """A price CSV, an exclusion list and a config file holding non-ASCII
+    text; ``bad`` names the one whose third line gets an undecodable byte."""
+    make_price_csv(tmp_path / "prices.csv", p=3, days=40)
+    texts = {
+        "prices.csv": (tmp_path / "prices.csv").read_text().replace("C00,C01", "A€,B€", 1),
+        "exclude.txt": "# stable coins\nB€\nUSD€\n",
+        "run.cfg": "# seuil €\nvolatility-quantile=0\nmissing-threshold=0.5\n",
+    }
+    for name, text in texts.items():
+        data = text.encode("utf-8")
+        if name == bad:
+            lines = data.split(b"\n")
+            lines[2] = b"\xff" + lines[2]
+            data = b"\n".join(lines)
+        (tmp_path / name).write_bytes(data)
+    return ["clean", "--input", str(tmp_path / "prices.csv"),
+            "--exclude-file", str(tmp_path / "exclude.txt"), "--config", str(tmp_path / "run.cfg"),
+            "--output-prices", str(tmp_path / "clean.csv"),
+            "--output-returns", str(tmp_path / "returns.csv")]
+
+
+def test_inputs_are_read_as_utf8_in_an_ascii_locale(tmp_path):
+    result = _cli_in_the_c_locale(*_utf8_inputs(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert "kept 2 symbols" in result.stdout
+    assert load_returns(tmp_path / "returns.csv").symbols == ("A€", "C02")
+
+
+@pytest.mark.parametrize("bad", ["prices.csv", "exclude.txt", "run.cfg"])
+def test_an_undecodable_input_exits_2_naming_the_file_and_line(tmp_path, bad):
+    result = _cli_in_the_c_locale(*_utf8_inputs(tmp_path, bad))
+    assert result.returncode == 2, result.stderr
+    assert f"{tmp_path / bad}: line 3 is not UTF-8 text" in result.stderr
+    assert not (tmp_path / "returns.csv").exists()
 
 
 def test_help_advertises_documented_defaults(runner):

@@ -22,6 +22,19 @@ from covdenoise.randomness import STREAM_REALIZATION, child_seed
 from conftest import count_decompositions, random_psd, reference_mv_loss
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_run_computes_the_sampling_root_once(monkeypatch, threads):
+    import covdenoise.models as models
+
+    # in the models module only the square root symmetrizes a block model
+    calls = []
+    real = models.symmetrize
+    monkeypatch.setattr(models, "symmetrize", lambda values: calls.append(1) or real(values))
+    spec = ModelSpec(kind=ModelKind.BLOCK, p=6, block_sizes=(3, 3), gamma=0.3)
+    run_monte_carlo(spec, n=20, m=5, estimators=["naive", "lp"], seed=3, threads=threads)
+    assert len(calls) == 1
+
+
 def test_frobenius_zero_iff_equal(rng):
     for _ in range(5):
         sigma = random_psd(rng, 6)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from covdenoise import (
     DataError,
@@ -548,3 +549,89 @@ def test_panel_writers_keep_their_bytes(tmp_path):
         for name in GOLDEN_PANEL_FILES
     }
     assert digests == GOLDEN_PANEL_FILES
+
+
+def _large_panels():
+    """A 1000-day by 100-symbol price panel with gaps, and a returns panel of
+    the same size; each array holds 800 kB."""
+    rng = np.random.default_rng(31)
+    first = dt.date(2020, 1, 1)
+    dates = tuple((first + dt.timedelta(days=d)).isoformat() for d in range(1000))
+    symbols = tuple(f"S{i:03d}-USD" for i in range(100))
+    prices = np.exp(rng.standard_normal((1000, 100)))
+    prices[rng.random(prices.shape) < 0.01] = np.nan
+    returns = ReturnsPanel(dates, symbols, rng.standard_normal((100, 1000)) * 0.01)
+    return PricePanel(dates, symbols, prices), returns
+
+
+_ARRAY_BYTES = 1000 * 100 * 8
+_CODECS = {"prices": (0, write_prices, load_prices), "returns": (1, write_returns, load_returns)}
+
+
+@pytest.mark.parametrize("kind", _CODECS)
+def test_writers_hold_one_row_at_a_time(tmp_path, kind):
+    index, write, _ = _CODECS[kind]
+    panel = _large_panels()[index]
+    path = tmp_path / "t.csv"
+    write(panel, path)  # imports and caches filled before tracing
+    assert traced_peak(lambda: write(panel, path)) <= 0.5 * _ARRAY_BYTES
+
+
+@pytest.mark.parametrize("kind", _CODECS)
+def test_loaders_hold_at_most_three_arrays(tmp_path, kind):
+    index, write, load = _CODECS[kind]
+    path = tmp_path / "t.csv"
+    write(_large_panels()[index], path)
+    load(path)
+    assert traced_peak(lambda: load(path)) <= 3 * _ARRAY_BYTES
+
+
+def test_loaded_arrays_keep_their_bits_and_memory_order(tmp_path):
+    prices, returns = _large_panels()
+    write_prices(prices, tmp_path / "p.csv")
+    write_returns(returns, tmp_path / "r.csv")
+    loaded_prices = load_prices(tmp_path / "p.csv")
+    loaded_returns = load_returns(tmp_path / "r.csv")
+    assert np.array_equal(_bits(loaded_prices.prices), _bits(prices.prices))
+    assert np.array_equal(_bits(loaded_returns.values), _bits(returns.values))
+    # prices are (dates x symbols) in C order; returns the transpose of such an array
+    assert loaded_prices.prices.flags.c_contiguous
+    assert loaded_returns.values.T.flags.c_contiguous
+
+
+_LF_PRICES = "date,A,B\n2024-01-01,1.5,2\n\n2024-01-02,,2.25\n  \n2024-01-03,1.75,2.5\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_load_the_same_arrays(tmp_path, newline):
+    lf = load_prices(write_csv(tmp_path / "lf.csv", _LF_PRICES))
+    (tmp_path / "other.csv").write_bytes(_LF_PRICES.replace("\n", newline).encode())
+    other = load_prices(tmp_path / "other.csv")
+    assert other.dates == lf.dates == ("2024-01-01", "2024-01-02", "2024-01-03")
+    assert np.array_equal(_bits(other.prices), _bits(lf.prices))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_rows_are_numbered_from_the_header_counting_blank_lines(tmp_path, newline):
+    # the bad row is the file's seventh line, after two blank ones
+    text = _LF_PRICES + "2024-01-04,x,1\n"
+    (tmp_path / "p.csv").write_bytes(text.replace("\n", newline).encode())
+    with pytest.raises(DataError, match="row 7, column 2: bad price 'x'"):
+        load_prices(tmp_path / "p.csv")
+
+
+def test_tables_are_utf8_whatever_the_locale(tmp_path):
+    returns = ReturnsPanel(("2024-01-02",), ("A€", "B"), np.array([[0.1], [0.2]]))
+    write_returns(returns, tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_bytes().startswith("date,A€,B\n".encode("utf-8"))
+    assert load_returns(tmp_path / "r.csv").symbols == ("A€", "B")
+    (tmp_path / "ex.txt").write_bytes("# stable\nA€\n".encode("utf-8"))
+    assert read_exclusions(tmp_path / "ex.txt") == ["A€"]
+
+
+@pytest.mark.parametrize("read", [load_prices, load_returns, read_exclusions])
+def test_an_undecodable_byte_is_a_data_error_naming_the_file_and_line(tmp_path, read):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"date,A\r\n2024-01-01,1\r\n2024-01-02,\xff1\r\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 3 is not UTF-8 text"):
+        read(path)

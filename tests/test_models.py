@@ -160,6 +160,21 @@ def test_matrix_sqrt_rejects_indefinite_input():
         matrix_sqrt_psd(bad)
 
 
+def test_the_sampling_root_is_cached_read_only_with_its_bytes():
+    from covdenoise.models import matrix_sqrt_psd
+
+    sigma = build_powerlaw_model(12, 1.0, 4)
+    eigenvalues, vectors = sigma.spectrum
+    root = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    reference = (vectors * root) @ vectors.T
+    reference = 0.5 * (reference + reference.T)
+    cached = matrix_sqrt_psd(sigma)
+    assert np.array_equal(cached.view(np.uint64), reference.view(np.uint64))
+    assert not cached.flags.writeable
+    assert matrix_sqrt_psd(sigma) is cached
+    assert matrix_sqrt_psd(sigma.retagged("sample")) is cached
+
+
 def test_covariance_matrix_validation():
     with pytest.raises(ParameterError):
         CovarianceMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]), "sample")  # asymmetric
