@@ -1,16 +1,21 @@
 """Command-line interface: simulate, clean, train, backtest.
 
-Exit codes: 0 success, 2 configuration/usage problems, 3 numeric failures.
-Every output file is written atomically (temp file + rename).  A flat
-``key=value`` config file can pre-set any option of a command; it fills
-click's ``default_map``, so explicit flags win over the file, which wins over
+Exit codes: 0 success, 2 configuration/usage problems (an output path that
+cannot be written, an ``OSError``, among them), 3 numeric failures.  Every
+output file is written atomically (temp file + rename).  A flat ``key=value``
+config file can pre-set any option of a command; it fills click's
+``default_map``, so explicit flags win over the file, which wins over
 built-in defaults.
+
+An option that sets a field of ``DenoiserConfig`` or ``WalkForwardConfig``
+is named after that field, and :func:`_config` builds each config from the
+options whose names are its fields.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import click
@@ -102,7 +107,7 @@ class _Command(click.Command):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ParameterError, DataError) as exc:
+        except (ParameterError, DataError, OSError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
         except NumericError as exc:
             failure = click.ClickException(str(exc))
@@ -137,28 +142,21 @@ def _model_spec(options: dict) -> ModelSpec:
     return ModelSpec(kind=kind, p=p, alpha=options["alpha"], seed=options["model_seed"])
 
 
-def _denoiser_config(options: dict, input_size: int) -> DenoiserConfig:
-    return DenoiserConfig(
-        input_size=input_size,
-        num_blocks=options["net_blocks"],
-        num_filters=options["filters"],
-        kernel=options["kernel_size"],
-        learning_rate=options["lr"],
-        batch_size=options["batch_size"],
-        epochs=options["epochs"],
-        validation_fraction=options["validation_fraction"],
-        seed=options["seed"],
-    )
+def _config(config_class, options: dict, **given):
+    """A ``config_class`` from the options named after its fields, plus
+    ``given``."""
+    names = {field.name for field in fields(config_class)}
+    return config_class(**{name: options[name] for name in names & options.keys()}, **given)
 
 
 _denoiser_options = [
-    click.option("--net-blocks", type=int, default=DenoiserConfig.num_blocks,
+    click.option("--net-blocks", "num_blocks", type=int, default=DenoiserConfig.num_blocks,
                  help="Residual blocks in the denoiser."),
-    click.option("--filters", type=int, default=DenoiserConfig.num_filters,
+    click.option("--filters", "num_filters", type=int, default=DenoiserConfig.num_filters,
                  help="Convolution filters per layer."),
-    click.option("--kernel-size", type=int, default=DenoiserConfig.kernel,
+    click.option("--kernel-size", "kernel", type=int, default=DenoiserConfig.kernel,
                  help="Convolution kernel size (odd)."),
-    click.option("--lr", type=float, default=DenoiserConfig.learning_rate,
+    click.option("--lr", "learning_rate", type=float, default=DenoiserConfig.learning_rate,
                  help="Adam learning rate."),
     click.option("--batch-size", type=int, default=DenoiserConfig.batch_size),
     click.option("--epochs", type=int, default=DenoiserConfig.epochs),
@@ -211,7 +209,7 @@ def simulate(**options) -> None:
     spec = _model_spec(options)
     denoiser = None
     if any(network_mode(name) for name in options["estimators"]):
-        denoiser = _denoiser_config(options, spec.p)
+        denoiser = _config(DenoiserConfig, options, input_size=spec.p)
     report = run_monte_carlo(
         spec,
         n=options["n"],
@@ -312,8 +310,7 @@ def train_command(**options) -> None:
             mode=options["mode"],
         )
         input_size = len(panel.symbols)
-    config = replace(_denoiser_config(options, input_size), mode=options["mode"])
-    weights, history = train(config, data)
+    weights, history = train(_config(DenoiserConfig, options, input_size=input_size), data)
     save_weights(weights, options["weights_out"])
     # without a validation split the third column is empty
     validation = history.validation_mse or [""] * len(history.train_mse)
@@ -340,12 +337,15 @@ def train_command(**options) -> None:
               help="Days each allocation is held; must equal --delta-t.")
 @click.option("--delta-t", type=int, default=WalkForwardConfig.delta_t,
               help="Days between rebalances; must equal --t-out, so holds run back to back.")
-@click.option("--pre-history", type=int, default=WalkForwardConfig.pre_history_days)
-@click.option("--train-count", type=int, default=WalkForwardConfig.train_window_count)
+@click.option("--pre-history", "pre_history_days", type=int,
+              default=WalkForwardConfig.pre_history_days)
+@click.option("--train-count", "train_window_count", type=int,
+              default=WalkForwardConfig.train_window_count)
 @click.option("--train-stride", type=int, default=WalkForwardConfig.train_stride)
 @click.option("--return-mode", type=click.Choice(RETURN_MODES),
               default=WalkForwardConfig.return_mode)
-@click.option("--seriation/--no-seriation", default=WalkForwardConfig.seriation_per_window,
+@click.option("--seriation/--no-seriation", "seriation_per_window",
+              default=WalkForwardConfig.seriation_per_window,
               help="Reorder assets spectrally before denoising.")
 @click.option("--seed", type=int, default=0)
 @click.option("--out-dir", type=click.Path(file_okay=False), default="backtest_out")
@@ -353,20 +353,10 @@ def train_command(**options) -> None:
 def backtest_command(**options) -> None:
     """Walk-forward backtest of a covariance estimator (or a benchmark)."""
     panel = load_returns(options["returns_path"])
-    needs_net = network_mode(options["estimator"]) is not None
-    config = WalkForwardConfig(
-        split_date=options["split_date"],
-        estimator=options["estimator"],
-        t_in=options["t_in"],
-        t_out=options["t_out"],
-        delta_t=options["delta_t"],
-        return_mode=options["return_mode"],
-        denoiser_config=_denoiser_config(options, len(panel.symbols)) if needs_net else None,
-        train_window_count=options["train_count"],
-        train_stride=options["train_stride"],
-        pre_history_days=options["pre_history"],
-        seriation_per_window=options["seriation"],
-    )
+    denoiser = None
+    if network_mode(options["estimator"]):
+        denoiser = _config(DenoiserConfig, options, input_size=len(panel.symbols))
+    config = _config(WalkForwardConfig, options, denoiser_config=denoiser)
     if options["strategy"] == "uniform":
         report = uniform_portfolio(panel, config)
         label = "uniform"

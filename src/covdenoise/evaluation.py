@@ -131,6 +131,24 @@ class MonteCarloReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _estimator_row(losses: np.ndarray) -> EstimatorRow:
+    """Mean and standard error of each of the (2, m) ``losses`` over the
+    realizations where both are finite; the rest count as failures."""
+    ok = np.isfinite(losses).all(axis=0)
+    count = int(ok.sum())
+    if not count:
+        return EstimatorRow(np.nan, np.nan, np.nan, np.nan, losses.shape[1])
+    f_ok, mv_ok = losses[0, ok], losses[1, ok]
+    se = 1.0 / np.sqrt(count)
+    return EstimatorRow(
+        mean_f=float(f_ok.mean()),
+        se_f=float(f_ok.std(ddof=1) * se) if count > 1 else 0.0,
+        mean_mv=float(mv_ok.mean()),
+        se_mv=float(mv_ok.std(ddof=1) * se) if count > 1 else 0.0,
+        failures=losses.shape[1] - count,
+    )
+
+
 # training seed stream of each network mode
 _TRAINING_STREAMS = {
     "covariance": STREAM_HARNESS_COVARIANCE,
@@ -191,45 +209,24 @@ def run_monte_carlo(
         with suppress(SingularMatrixError):
             _population_inverse(sigma)
 
-        losses_f = {name: np.full(m, np.nan) for name in names}
-        losses_mv = {name: np.full(m, np.nan) for name in names}
-
-        def one_realization(index: int) -> None:
+        def one_realization(index: int) -> np.ndarray:
+            """(Frobenius, MV) losses per estimator, NaN where it raised."""
             draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
-            for name in names:
-                try:
+            losses = np.full((len(names), 2), np.nan)
+            for row, name in enumerate(names):
+                with suppress(CovDenoiseError, np.linalg.LinAlgError):
                     estimate = bound[name](draw.sample)
-                    losses_f[name][index] = frobenius_loss(estimate, sigma)
-                    losses_mv[name][index] = mv_loss(estimate, sigma)
-                except (CovDenoiseError, np.linalg.LinAlgError):
-                    losses_f[name][index] = np.nan
-                    losses_mv[name][index] = np.nan
+                    losses[row] = frobenius_loss(estimate, sigma), mv_loss(estimate, sigma)
+            return losses
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one_realization, range(m)))
+                per_realization = list(pool.map(one_realization, range(m)))
         else:
-            for index in range(m):
-                one_realization(index)
-
-        rows = {}
-        for name in names:
-            f_vals = losses_f[name]
-            mv_vals = losses_mv[name]
-            ok = np.isfinite(f_vals) & np.isfinite(mv_vals)
-            count = int(ok.sum())
-            if count:
-                f_ok, mv_ok = f_vals[ok], mv_vals[ok]
-                se = 1.0 / np.sqrt(count)
-                rows[name] = EstimatorRow(
-                    mean_f=float(f_ok.mean()),
-                    se_f=float(f_ok.std(ddof=1) * se) if count > 1 else 0.0,
-                    mean_mv=float(mv_ok.mean()),
-                    se_mv=float(mv_ok.std(ddof=1) * se) if count > 1 else 0.0,
-                    failures=m - count,
-                )
-            else:
-                rows[name] = EstimatorRow(np.nan, np.nan, np.nan, np.nan, m)
+            per_realization = [one_realization(index) for index in range(m)]
+        # (estimators, 2, m): each loss series is one contiguous row
+        losses = np.stack(per_realization, axis=-1)
+        rows = {name: _estimator_row(series) for name, series in zip(names, losses, strict=True)}
         return MonteCarloReport(
             model=model, p=sigma.dim, n=n, m=m, seed=seed, estimators=names, rows=rows
         )

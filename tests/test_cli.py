@@ -699,11 +699,15 @@ def _parse(command, *args):
     return command.make_context(command.name, list(args)).params
 
 
+def _flag_name(param):
+    return param.opts[0].lstrip("-").replace("-", "_")
+
+
 def _option_cases():
     for command in cli.commands.values():
         for param in command.params:
             if param.name != "config":
-                yield pytest.param(command, param, id=f"{command.name}-{param.name}")
+                yield pytest.param(command, param, id=f"{command.name}-{_flag_name(param)}")
 
 
 @pytest.mark.parametrize("command, param", _option_cases())
@@ -734,7 +738,8 @@ def test_every_option_loads_from_a_config_file_by_its_flag_name(tmp_path, comman
 @pytest.mark.parametrize(
     "command, key",
     [("simulate", "block_sizes"), ("backtest", "split_date"), ("backtest", "returns_path"),
-     ("train", "returns_path"), ("clean", "input_path")],
+     ("train", "returns_path"), ("clean", "input_path"), ("train", "num_blocks"),
+     ("backtest", "learning_rate"), ("backtest", "pre_history_days")],
 )
 def test_config_keys_take_underscores_and_parameter_names(tmp_path, command, key):
     command = cli.commands[command]
@@ -825,29 +830,55 @@ def test_simulate_exits_2_on_estimator_lists_and_threads_the_harness_rejects(
     assert not (tmp_path / "out").exists()
 
 
-DENOISER_DEFAULTS = {
-    "net_blocks": "num_blocks", "filters": "num_filters", "kernel_size": "kernel",
-    "lr": "learning_rate", "batch_size": "batch_size", "epochs": "epochs",
-    "validation_fraction": "validation_fraction",
-}
-WALK_FORWARD_DEFAULTS = {
-    "estimator": "estimator", "t_in": "t_in", "t_out": "t_out", "delta_t": "delta_t",
-    "pre_history": "pre_history_days", "train_count": "train_window_count",
-    "train_stride": "train_stride", "return_mode": "return_mode",
-    "seriation": "seriation_per_window",
-}
+def _config_fields(config_class, *excluded):
+    return {field.name: field for field in dataclasses.fields(config_class)
+            if field.name not in excluded}
+
+
+CONFIG_FIELDS = _config_fields(DenoiserConfig) | _config_fields(WalkForwardConfig)
+FILLING_COMMANDS = ("simulate", "train", "backtest")
 
 
 def _default_cases():
-    for command in ("simulate", "train", "backtest"):
-        for option, field in DENOISER_DEFAULTS.items():
-            yield pytest.param(command, option, DenoiserConfig, field, id=f"{command}-{option}")
-    for option, field in WALK_FORWARD_DEFAULTS.items():
-        yield pytest.param("backtest", option, WalkForwardConfig, field, id=f"backtest-{option}")
+    for command in FILLING_COMMANDS:
+        for param in cli.commands[command].params:
+            if param.name in CONFIG_FIELDS:
+                yield pytest.param(param, CONFIG_FIELDS[param.name],
+                                   id=f"{command}-{_flag_name(param)}")
 
 
-@pytest.mark.parametrize("command, option, config_class, field", _default_cases())
-def test_cli_defaults_are_the_config_field_defaults(command, option, config_class, field):
-    defaults = {entry.name: entry.default for entry in dataclasses.fields(config_class)}
-    param = next(param for param in cli.commands[command].params if param.name == option)
-    assert param.default == defaults[field]
+@pytest.mark.parametrize("param, field", _default_cases())
+def test_cli_defaults_are_the_config_field_defaults(param, field):
+    if field.default is dataclasses.MISSING:
+        assert param.required
+    else:
+        assert param.default == field.default
+
+
+@pytest.mark.parametrize("command", FILLING_COMMANDS)
+def test_cli_options_named_after_config_fields_are_the_fields_the_command_fills(command):
+    # every command fills the denoiser's fields but input_size; only train
+    # sets its mode, and backtest also fills WalkForwardConfig
+    filled = _config_fields(DenoiserConfig, "input_size", *([] if command == "train" else ["mode"]))
+    if command == "backtest":
+        filled |= _config_fields(WalkForwardConfig, "denoiser_config")
+    named = {param.name for param in cli.commands[command].params if param.name in CONFIG_FIELDS}
+    assert named == filled.keys()
+
+
+@pytest.mark.parametrize("command", ["simulate", "clean"])
+def test_unwritable_output_paths_exit_2_naming_the_path(runner, tmp_path, command):
+    # a regular file where an output directory should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    if command == "simulate":
+        args = ["simulate", "--model", "nested", "--p", "5", "--m", "2", "--estimators", "naive",
+                "--out-dir", str(blocker / "out")]
+    else:
+        make_price_csv(tmp_path / "prices.csv")
+        args = ["clean", "--input", str(tmp_path / "prices.csv"),
+                "--output-prices", str(blocker / "x.csv"),
+                "--output-returns", str(tmp_path / "returns.csv")]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert "Error: " in result.output and str(blocker) in result.output

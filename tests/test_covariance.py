@@ -210,3 +210,8 @@ def test_value_types_holding_arrays_compare_and_hash_by_identity(name):
     assert one == one
     assert one != same_contents
     assert len({one, same_contents, one}) == 2
+
+
+def test_covariance_matrix_rejects_an_empty_array():
+    with pytest.raises(ParameterError, match="covariance must have dimension >= 1"):
+        CovarianceMatrix(np.zeros((0, 0)))

@@ -258,3 +258,39 @@ def test_covariance_normalizer_uses_mean_diagonal(rng):
     )
     weights, _ = train(config, data)
     assert np.isclose(weights.normalizer, scale)
+
+
+def _tiny_config(**changes):
+    fields = dict(input_size=4, num_blocks=1, num_filters=2, kernel=3, seed=7, mode="eigenvectors")
+    return DenoiserConfig(**(fields | changes))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: build_training_set_simulation(ModelSpec(kind=ModelKind.NESTED, p=3, gamma=0.3),
+                                            20, 1, 0), "training set needs count >= 2"),
+     (lambda: build_training_set_rolling(np.zeros((3, 50)), 5, 1), "training set needs count >= 2"),
+     (lambda: build_training_set_rolling(np.zeros((3, 50)), 1, 2),
+      "window_length must be >= 2 and stride >= 1"),
+     (lambda: build_training_set_rolling(np.zeros((3, 50)), 5, 2, stride=0),
+      "window_length must be >= 2 and stride >= 1"),
+     (lambda: train(_tiny_config(input_size=5),
+                    TrainingSet(inputs=np.zeros((6, 4, 4)), targets=np.zeros((6, 4, 4)))),
+      "training matrices are 4x4 but the configuration expects 5")],
+    ids=["simulation-count", "rolling-count", "rolling-window", "rolling-stride", "size-mismatch"],
+)
+def test_training_inputs_are_rejected(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_a_non_finite_training_loss_raises(rng):
+    # two batches and no validation split: the first update blows the
+    # weights up, so the second batch's training loss is non-finite
+    inputs = rng.standard_normal((4, 4, 4))
+    data = TrainingSet(inputs=inputs, targets=inputs.copy())
+    config = _tiny_config(batch_size=2, epochs=1, learning_rate=1e300, validation_fraction=0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericError, match="training diverged: non-finite loss at epoch 0"
+    ):
+        train(config, data)

@@ -271,3 +271,17 @@ def test_covariance_matrix_is_frozen():
     sigma = build_block_model([3], 0.2)
     with pytest.raises(ValueError):
         sigma.values[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: shrink_eigenvalues(np.array([]), 10), "eigenvalues must be a nonempty vector"),
+     (lambda: shrink_eigenvalues(np.array([2.0, 1.0]), 10), "eigenvalues must be sorted ascending"),
+     (lambda: shrink_eigenvalues(np.array([1.0, 2.0]), 1), "n must be >= 2, got 1"),
+     (lambda: shrink_eigenvalues(np.zeros(3), 10), "cannot shrink an all-zero spectrum"),
+     (lambda: assemble_hybrid(np.ones((2, 3)), np.ones(2)), "eigenvector matrix must be square")],
+    ids=["empty", "unsorted", "n-below-2", "all-zero", "hybrid-non-square"],
+)
+def test_spectrum_inputs_are_rejected(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()

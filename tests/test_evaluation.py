@@ -326,3 +326,15 @@ def test_seed_streams_are_distinct_and_the_harness_streams_keep_their_values():
     streams = [value for name, value in vars(randomness).items() if name.startswith("STREAM_")]
     assert len(set(streams)) == len(streams)
     assert evaluation._TRAINING_STREAMS == {"covariance": 10, "eigenvectors": 11}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: mv_loss(np.eye(2), np.eye(3)), "dimension mismatch"),
+     (lambda: run_monte_carlo(ModelSpec(kind=ModelKind.NESTED, p=3, gamma=0.3), n=10, m=0,
+                              estimators=["naive"], seed=0), "m must be >= 1")],
+    ids=["mv-dimension-mismatch", "no-realizations"],
+)
+def test_evaluation_inputs_are_rejected(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()

@@ -313,3 +313,8 @@ def test_correlation_distance_clips_rounding_and_rejects_overshoot():
     for rule in (hierarchy.correlation_distance, filter_correlation):
         with pytest.raises(DataError, match="exceeds 1 by 1.000e-06"):
             rule(corr)
+
+
+def test_linkage_rejects_a_non_square_distance_matrix():
+    with pytest.raises(ParameterError, match="distance matrix must be square"):
+        linkage(np.zeros((2, 3)), "single")

@@ -226,3 +226,15 @@ def test_model_spec_rejects_each_bad_field(build, message):
 def test_model_spec_validates_block_sum():
     with pytest.raises(ParameterError):
         ModelSpec(kind=ModelKind.BLOCK, p=9, block_sizes=(4, 6), gamma=0.25)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: build_nested_model(4, 0.0), "gamma must be positive, got 0.0"),
+     (lambda: build_powerlaw_model(0, 1.5, 0), "p must be a positive integer"),
+     (lambda: build_powerlaw_model(4, -0.5, 0), "alpha must be nonnegative, got -0.5")],
+    ids=["nested-gamma", "powerlaw-p", "powerlaw-alpha"],
+)
+def test_model_builders_reject_bad_parameters(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()

@@ -295,3 +295,27 @@ def test_metrics_json_fixed_key_order():
         "max_drawdown",
         "turnover",
     ]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: WeightVector(np.array([])), "weights must be a nonempty vector"),
+     (lambda: portfolio_metrics(np.array([]), [np.ones(1)]),
+      "daily returns must be a nonempty vector"),
+     (lambda: portfolio_metrics(np.full(3, 0.01), []),
+      "weight history must contain the initial allocation"),
+     (lambda: portfolio_metrics(np.full(3, 0.01), [np.ones(1)] * 3, [np.ones(1)]),
+      "expected 2 pre-rebalance weight vectors, got 1")],
+    ids=["empty-weights", "empty-returns", "empty-history", "pre-rebalance-count"],
+)
+def test_portfolio_inputs_are_rejected(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_flat_returns_flag_zero_volatility_in_the_metrics_json():
+    metrics = portfolio_metrics(np.full(5, 0.001), [np.ones(1)])
+    assert metrics.zero_volatility and metrics.sharpe == 0.0
+    assert json.loads(metrics.to_json_text())["zero_volatility"] is True
+    varying = portfolio_metrics(np.array([0.01, -0.01, 0.02]), [np.ones(1)])
+    assert "zero_volatility" not in json.loads(varying.to_json_text())

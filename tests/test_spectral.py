@@ -287,3 +287,24 @@ def test_dsyevd_failing_to_converge_raises_linalgerror(monkeypatch):
         CovarianceMatrix(values)
     with pytest.raises(NumericError, match="failed to converge"):
         spectral.floored_eigenvalues(values, "xi")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: eigendecompose_sym(np.zeros((2, 3))), "expected a square matrix"),
+     (lambda: psd_project(np.eye(2), floor=-1.0), "floor must be nonnegative"),
+     (lambda: stieltjes(1j, np.array([])), "eigenvalues must be a nonempty vector"),
+     (lambda: corr_to_cov(np.eye(2), np.array([1.0, 0.0])), "variances must be strictly positive"),
+     (lambda: spectral_seriation(np.zeros((2, 3))), "correlation matrix must be square"),
+     (lambda: spectral_seriation(2.0 * np.eye(3)), "correlation matrix must have a unit diagonal")],
+    ids=["eigendecompose-non-square", "negative-floor", "stieltjes-empty", "variances",
+         "seriation-non-square", "seriation-diagonal"],
+)
+def test_spectral_inputs_are_rejected(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_seriation_of_one_asset_is_the_identity_order():
+    order = spectral_seriation(np.ones((1, 1)))
+    assert order.tolist() == [0] and order.dtype.kind == "i"
