@@ -1,4 +1,4 @@
-"""Reach the OpenBLAS that NumPy loaded: its thread count, its ``cblas_dgemm``
+"""Reach the OpenBLAS that NumPy calls: its thread count, its ``cblas_dgemm``
 and LAPACK's ``dsyevd``.
 
 The package's BLAS rule, without exception: work is parallelized over
@@ -22,16 +22,19 @@ The Fortran ``dsyevd`` is bound here and called only by
 the interpreter lock for its whole LAPACK call below size 500, which
 serializes the Monte Carlo pool's validations; a ctypes call releases it.
 
-The library is looked up once, on first use, not at import, and only among
-libraries already loaded, so a second BLAS is never loaded.  The thread
-control, ``cblas_dgemm`` and ``dsyevd`` are taken from the same library, each
-spelled like the thread control (``scipy_cblas_dgemm64_`` and
-``scipy_dsyevd_64_`` beside ``scipy_openblas_get_num_threads64_``,
-``cblas_dgemm`` and ``dsyevd_`` beside ``openblas_get_num_threads``), and each
-is typed by one binder, :func:`_bind`.  :func:`_lookup` reads the integer
-width once from the suffix (``64_``: 64-bit integers; none: C ``int``) for
-``cblas_dgemm``'s sizes, ``dsyevd``'s integer arrays and :func:`add_matmul`'s
-range check.  Without an OpenBLAS (MKL, Accelerate, reference BLAS)
+The library is looked up once, on first use, not at import, through NumPy's
+already-loaded LAPACK extension, ``numpy.linalg._umath_linalg``, opened with
+``RTLD_NOLOAD``: a handle's symbol search covers the libraries it links, so
+nothing new is loaded and the OpenBLAS bound is the one ``np.linalg`` and
+``np.matmul`` call, even where another package loaded its own (SciPy does).
+``cblas_dgemm`` and ``dsyevd`` are spelled like the thread control
+(``scipy_cblas_dgemm64_`` and ``scipy_dsyevd_64_`` beside
+``scipy_openblas_get_num_threads64_``, ``cblas_dgemm`` and ``dsyevd_`` beside
+``openblas_get_num_threads``), and each symbol is typed by one binder, :func:`_bind`.
+:func:`_lookup` reads the integer width once from the suffix (``64_``: 64-bit
+integers; none: C ``int``) for ``cblas_dgemm``'s sizes, ``dsyevd``'s integer
+arrays and :func:`add_matmul`'s range check.  Without an OpenBLAS (MKL,
+Accelerate, reference BLAS), or on Windows, which has no ``RTLD_NOLOAD``,
 :func:`single_blas_thread` does nothing, and there, or where the OpenBLAS
 exports no such symbol, :func:`add_matmul` runs ``out += a @ b`` in NumPy and
 the eigenvalues come from ``np.linalg.eigvalsh``: the same results, through
@@ -48,10 +51,10 @@ import os
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 _log = logging.getLogger(__name__)
 # (thread-control prefix, CBLAS prefix, LAPACK prefix) of one build's symbols
@@ -71,49 +74,34 @@ class _OpenBLAS(NamedTuple):
     integer: type = np.intc
 
 
-def _openblas_paths() -> list[str]:
-    """OpenBLAS files mapped into this process (Linux), else those in NumPy's wheel."""
-    try:
-        mapped = [line.split(maxsplit=5)[-1]
-                  for line in Path("/proc/self/maps").read_text().splitlines()]
-    except OSError:
-        numpy_dir = Path(np.__file__).parent
-        mapped = [str(path) for folder in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
-                  if folder.is_dir() for path in folder.iterdir()]
-    return list(dict.fromkeys(path for path in mapped if "openblas" in Path(path).name.lower()))
-
-
 @functools.cache
 def _lookup() -> _OpenBLAS | None:
-    """The loaded OpenBLAS's thread count (get, set), its cblas_dgemm and
-    dsyevd, and its integer width, or None."""
-    paths = _openblas_paths()
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # fails unless already loaded
-        except (OSError, AttributeError):
+    """The thread count (get, set), cblas_dgemm, dsyevd and integer width of
+    the OpenBLAS that NumPy's linear algebra calls, or None."""
+    try:
+        # fails unless already loaded; the handle's symbols include its dependencies'
+        library = ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    except (OSError, AttributeError):  # AttributeError: no RTLD_NOLOAD (Windows)
+        library = None  # has none of the symbols below
+    for (prefix, cblas, lapack), suffix in itertools.product(_SYMBOL_PREFIXES, _SYMBOL_SUFFIXES):
+        get, set_ = (f"{prefix}_{verb}_num_threads{suffix}" for verb in ("get", "set"))
+        if not (hasattr(library, get) and hasattr(library, set_)):
             continue
-        for (prefix, cblas, lapack), suffix in itertools.product(_SYMBOL_PREFIXES,
-                                                                 _SYMBOL_SUFFIXES):
-            get, set_ = (f"{prefix}_{verb}_num_threads{suffix}" for verb in ("get", "set"))
-            if not (hasattr(library, get) and hasattr(library, set_)):
-                continue
-            # The integer width follows the suffix: a mismatch would corrupt memory.
-            integer, index = (np.int64, ctypes.c_int64) if suffix else (np.intc, ctypes.c_int)
-            enum, real, pointer = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-            return _OpenBLAS(
-                _bind(library, get, [], ctypes.c_int),
-                _bind(library, set_, [ctypes.c_int]),
-                _bind(library, f"{cblas}_dgemm{suffix}", [enum] * 3 + [index] * 3
-                      + [real, pointer, index, pointer, index, real, pointer, index]),
-                # jobz and uplo as one-character strings, pointers to n, a, lda,
-                # w, work, lwork, iwork, liwork and info, the strings' hidden lengths
-                _bind(library, f"{lapack}dsyevd_{suffix}",
-                      [ctypes.c_char_p] * 2 + [pointer] * 9 + [ctypes.c_size_t] * 2),
-                integer,
-            )
-    why = f"no thread control in {paths}" if paths else "no OpenBLAS is loaded"
-    _log.debug("BLAS thread count left unpinned: %s", why)
+        # The integer width follows the suffix: a mismatch would corrupt memory.
+        integer, index = (np.int64, ctypes.c_int64) if suffix else (np.intc, ctypes.c_int)
+        enum, real, pointer = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+        return _OpenBLAS(
+            _bind(library, get, [], ctypes.c_int),
+            _bind(library, set_, [ctypes.c_int]),
+            _bind(library, f"{cblas}_dgemm{suffix}", [enum] * 3 + [index] * 3
+                  + [real, pointer, index, pointer, index, real, pointer, index]),
+            # jobz and uplo as one-character strings, pointers to n, a, lda,
+            # w, work, lwork, iwork, liwork and info, the strings' hidden lengths
+            _bind(library, f"{lapack}dsyevd_{suffix}",
+                  [ctypes.c_char_p] * 2 + [pointer] * 9 + [ctypes.c_size_t] * 2),
+            integer,
+        )
+    _log.debug("BLAS thread count left unpinned: no OpenBLAS thread control in NumPy's linalg")
     return None
 
 

@@ -1,11 +1,12 @@
 """Command-line interface: simulate, clean, train, backtest.
 
 Exit codes: 0 success, 2 configuration/usage problems (an output path that
-cannot be written, an ``OSError``, among them), 3 numeric failures.  Every
-output file is written atomically (temp file + rename).  A flat ``key=value``
-config file can pre-set any option of a command; it fills click's
-``default_map``, so explicit flags win over the file, which wins over
-built-in defaults.
+cannot be written, an ``OSError``, among them), 3 numeric failures.  Each
+command checks that it can write its output files before it computes anything
+(:func:`_check_outputs`).  Every output file is written atomically (temp
+file + rename).  A flat ``key=value`` config file can pre-set any option of a
+command; it fills click's ``default_map``, so explicit flags win over the
+file, which wins over built-in defaults.
 
 An option that sets a field of ``DenoiserConfig`` or ``WalkForwardConfig``
 is named after that field, and :func:`_config` builds each config from the
@@ -14,6 +15,7 @@ options whose names are its fields.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -142,6 +144,23 @@ def _model_spec(options: dict) -> ModelSpec:
     return ModelSpec(kind=kind, p=p, alpha=options["alpha"], seed=options["model_seed"])
 
 
+def _check_outputs(*files) -> None:
+    """Refuse, before any compute, output files the run could not write.
+
+    The nearest existing ancestor of each file's directory must be a directory
+    this process may write into; otherwise an ``OSError`` names the file.
+    Nothing is created here: writing a file creates its missing directories.
+    """
+    for file in map(Path, files):
+        existing = file.absolute().parent
+        while not existing.exists():
+            existing = existing.parent
+        if not existing.is_dir():
+            raise NotADirectoryError(f"cannot write {file}: {existing} is not a directory")
+        if not os.access(existing, os.W_OK | os.X_OK):
+            raise PermissionError(f"cannot write {file}: {existing} is not writable")
+
+
 def _config(config_class, options: dict, **given):
     """A ``config_class`` from the options named after its fields, plus
     ``given``."""
@@ -206,6 +225,7 @@ def cli() -> None:
 @_add_options(_denoiser_options)
 def simulate(**options) -> None:
     """Monte Carlo loss evaluation of estimators on a population model."""
+    _check_outputs(Path(options["out_dir"]) / "report.csv")
     spec = _model_spec(options)
     denoiser = None
     if any(network_mode(name) for name in options["estimators"]):
@@ -254,6 +274,7 @@ def _write_diagnostics(spec: ModelSpec, out: Path) -> None:
 @click.option("--exclude-file", type=click.Path(exists=True, dir_okay=False))
 def clean(**options) -> None:
     """Clean a price CSV and emit filled prices plus log returns."""
+    _check_outputs(options["output_prices"], options["output_returns"])
     panel = load_prices(options["input_path"])
     exclusions = read_exclusions(options["exclude_file"]) if options["exclude_file"] else []
     cleaned, summary = clean_panel_report(
@@ -290,6 +311,7 @@ def clean(**options) -> None:
 @_add_options(_denoiser_options)
 def train_command(**options) -> None:
     """Train the denoiser on simulated draws or a rolling returns panel."""
+    _check_outputs(options["weights_out"], options["loss_curve_out"])
     if options["source"] == "simulation":
         if options["model"] is None:
             raise click.UsageError("--source simulation requires --model")
@@ -311,7 +333,6 @@ def train_command(**options) -> None:
         )
         input_size = len(panel.symbols)
     weights, history = train(_config(DenoiserConfig, options, input_size=input_size), data)
-    save_weights(weights, options["weights_out"])
     # without a validation split the third column is empty
     validation = history.validation_mse or [""] * len(history.train_mse)
     write_table(
@@ -319,6 +340,8 @@ def train_command(**options) -> None:
         ("epoch", "train_mse", "validation_mse"),
         zip(range(len(history.train_mse)), history.train_mse, validation, strict=True),
     )
+    # last, so a new weights file means the loss curve beside it is new too
+    save_weights(weights, options["weights_out"])
     final = history.train_mse[-1] if history.train_mse else float("nan")
     click.echo(f"saved weights to {options['weights_out']} (final training MSE {final:.6g})")
 
@@ -352,6 +375,7 @@ def train_command(**options) -> None:
 @_add_options(_denoiser_options)
 def backtest_command(**options) -> None:
     """Walk-forward backtest of a covariance estimator (or a benchmark)."""
+    _check_outputs(Path(options["out_dir"]) / "metrics.json")
     panel = load_returns(options["returns_path"])
     denoiser = None
     if network_mode(options["estimator"]):

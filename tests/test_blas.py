@@ -1,5 +1,6 @@
 import ctypes
 import datetime
+import json
 import logging
 import os
 import subprocess
@@ -226,18 +227,77 @@ def test_training_writes_the_same_loss_curve_whatever_the_hosts_blas_threads(tmp
     assert curves[0] == curves[1]
 
 
-@pytest.mark.parametrize(
-    "paths,why",
-    [([], "no OpenBLAS is loaded"), (["/nonexistent/libopenblas.so"], "no thread control in")],
-)
-def test_lookup_without_a_thread_control_logs_why_and_returns_none(
-    monkeypatch, caplog, paths, why
-):
-    monkeypatch.setattr(_blas, "_openblas_paths", lambda: paths)
+def _not_loaded(path, mode):
+    """A ``ctypes.CDLL`` for a process where NumPy's linalg module is not loaded."""
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [lambda path, mode: SimpleNamespace(), _not_loaded],
+                         ids=["no symbols", "not loaded"])
+def test_lookup_without_a_thread_control_logs_why_and_returns_none(monkeypatch, caplog, cdll):
+    monkeypatch.setattr(_blas.ctypes, "CDLL", cdll)
     with caplog.at_level(logging.DEBUG, logger=_blas.__name__):
         assert _blas._lookup.__wrapped__() is None
     assert [record.levelno for record in caplog.records] == [logging.DEBUG]
-    assert why in caplog.records[0].getMessage()
+    assert "no OpenBLAS thread control" in caplog.records[0].getMessage()
+
+
+# Loads a copy of NumPy's OpenBLAS before the package looks one up, then
+# prints, for each symbol bound, its address and the address NumPy's linalg
+# module resolves for the same name, and NumPy's own thread count before,
+# inside and after single_blas_thread.
+_SECOND_OPENBLAS = """
+import ctypes, json, os, shutil, sys
+from numpy.linalg import _umath_linalg
+ctypes.CDLL(shutil.copy(sys.argv[1], sys.argv[2]))
+from covdenoise import _blas
+numpy_linalg = ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+found = _blas._lookup()
+address = lambda function: ctypes.cast(function, ctypes.c_void_p).value
+pairs = [(address(bound), address(getattr(numpy_linalg, bound.__name__)))
+         for bound in found[:4]]
+count = getattr(numpy_linalg, found.get_threads.__name__)
+count.restype = ctypes.c_int
+host = count()
+with _blas.single_blas_thread():
+    inside = count()
+print(json.dumps({"pairs": pairs, "host": host, "inside": inside, "after": count()}))
+"""
+
+
+def test_the_binding_is_numpys_whatever_other_openblas_is_loaded(tmp_path):
+    # while the package bound the first OpenBLAS mapped into the process, a
+    # second one (here a copy of NumPy's, as SciPy's would be) could be
+    # bound instead, and NumPy's own count stayed at 2 inside the block
+    shipped = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"))
+    if not shipped:
+        pytest.skip("no OpenBLAS file ships with this NumPy")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="2")
+    result = subprocess.run(
+        [sys.executable, "-c", _SECOND_OPENBLAS, str(shipped[0]), str(tmp_path / shipped[0].name)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    seen = json.loads(result.stdout)
+    if seen["host"] == 1:
+        pytest.skip("NumPy's OpenBLAS runs one thread on this host")
+    bound, numpy = zip(*seen["pairs"])
+    assert bound == numpy
+    assert (seen["inside"], seen["after"]) == (1, seen["host"])
+
+
+def _conv_digest(first_import):
+    code = (f"import {first_import}, hashlib, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_blas import _conv_bytes\n"
+            "print(hashlib.sha256(b''.join(_conv_bytes())).hexdigest())\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True).stdout
+
+
+def test_convolutions_give_the_same_bytes_with_scipys_openblas_loaded_first():
+    pytest.importorskip("scipy.linalg")
+    assert _conv_digest("scipy.linalg") == _conv_digest("numpy")
 
 
 def test_without_a_thread_control_the_block_yields_one_pool_thread(monkeypatch):
@@ -250,7 +310,7 @@ def test_reports_are_identical_when_no_thread_control_is_found(monkeypatch):
     spec = ModelSpec(kind=ModelKind.POWERLAW, p=10, alpha=1.0, seed=3)
     args = (spec, 20, 4, ["naive", "lp", "alca", "2s-lp"])
     found = run_monte_carlo(*args, seed=7, threads=2)
-    monkeypatch.setattr(_blas, "_openblas_paths", lambda: [])
+    monkeypatch.setattr(_blas.ctypes, "CDLL", _not_loaded)
     monkeypatch.setattr(_blas, "_lookup", _blas._lookup.__wrapped__)
     missing = run_monte_carlo(*args, seed=7, threads=2)
     assert missing.to_json_text() == found.to_json_text()
@@ -362,7 +422,6 @@ def _lookup_in(monkeypatch, *names):
         return function
 
     library = SimpleNamespace(**{name: export(name) for name in names})
-    monkeypatch.setattr(_blas, "_openblas_paths", lambda: ["libopenblas.so"])
     monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path, mode: library)
     return _blas._lookup.__wrapped__(), calls
 
@@ -469,7 +528,7 @@ def _conv_bytes():
 @needs_gemm
 def test_convolutions_give_the_same_bytes_without_a_loaded_gemm(monkeypatch):
     with_blas = _conv_bytes()
-    monkeypatch.setattr(_blas, "_openblas_paths", lambda: [])
+    monkeypatch.setattr(_blas.ctypes, "CDLL", _not_loaded)
     monkeypatch.setattr(_blas, "_lookup", _blas._lookup.__wrapped__)
     assert _blas._lookup() is None
     assert _conv_bytes() == with_blas

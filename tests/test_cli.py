@@ -882,3 +882,68 @@ def test_unwritable_output_paths_exit_2_naming_the_path(runner, tmp_path, comman
     result = runner.invoke(cli, args)
     assert result.exit_code == 2, result.output
     assert "Error: " in result.output and str(blocker) in result.output
+
+
+def _computing(*args, **kwargs):
+    pytest.fail("the command computed before it checked its output paths")
+
+
+@pytest.mark.parametrize("command", ["simulate", "clean", "train", "backtest"])
+def test_an_unwritable_output_exits_2_before_the_command_computes(
+    runner, tmp_path, monkeypatch, command
+):
+    # train once trained in full, and backtest ran its whole walk-forward,
+    # before either reached an output path under a regular file
+    import covdenoise.cli as cli_module
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    make_price_csv(tmp_path / "prices.csv")
+    returns = _returns_csv(tmp_path, runner)
+    for compute in ("run_monte_carlo", "clean_panel_report", "train", "walk_forward"):
+        monkeypatch.setattr(cli_module, compute, _computing)
+    args = {
+        "simulate": ["simulate", "--model", "nested", "--p", "5", "--m", "2",
+                     "--estimators", "naive", "--out-dir", str(blocker / "out")],
+        "clean": ["clean", "--input", str(tmp_path / "prices.csv"),
+                  "--output-prices", str(tmp_path / "cp2.csv"),
+                  "--output-returns", str(blocker / "r.csv")],
+        "train": ["train", "--model", "nested", "--p", "5", "--n", "20", "--count", "4",
+                  "--net-blocks", "1", "--filters", "2", "--epochs", "1",
+                  "--weights-out", str(blocker / "w.cdnw"),
+                  "--loss-curve-out", str(tmp_path / "loss.csv")],
+        "backtest": ["backtest", "--returns", str(returns), "--split-date", "2023-04-01",
+                     "--t-in", "30", "--t-out", "30", "--delta-t", "30",
+                     "--out-dir", str(blocker / "bt")],
+    }[command]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert "Error: " in result.output and str(blocker) in result.output
+
+
+@pytest.mark.parametrize("failing", ["under a file", "on write"])
+def test_train_with_an_unwritable_loss_curve_leaves_no_weights_file(
+    runner, tmp_path, monkeypatch, failing
+):
+    # the weights file was written first, so a failed loss curve left it behind
+    import covdenoise.cli as cli_module
+
+    curve = tmp_path / "loss.csv"
+    if failing == "under a file":
+        (tmp_path / "blocker").write_text("a regular file\n")
+        curve = tmp_path / "blocker" / "loss.csv"
+    else:
+        def full_disk(path, *args):
+            raise OSError(f"{path}: no space left on device")
+
+        monkeypatch.setattr(cli_module, "write_table", full_disk)
+    weights = tmp_path / "w.cdnw"
+    result = runner.invoke(
+        cli,
+        ["train", "--model", "nested", "--p", "5", "--n", "20", "--count", "4",
+         "--net-blocks", "1", "--filters", "2", "--epochs", "1",
+         "--weights-out", str(weights), "--loss-curve-out", str(curve)],
+    )
+    assert result.exit_code == 2, result.output
+    assert str(curve) in result.output
+    assert not weights.exists()
