@@ -3,10 +3,10 @@ and LAPACK's ``dsyevd``.
 
 The package's BLAS rule, without exception: work is parallelized over
 independent units, never inside BLAS.  Every Monte Carlo realization, every
-walk-forward window (training, estimate, allocation and hold) and every
-training sample runs inside :func:`single_blas_thread`, so ``threads`` pool
-threads use ``threads`` cores and results do not depend on the host's
-``OPENBLAS_NUM_THREADS``.  Training runs its samples on a pool as large as
+walk-forward walk (its windows allocated in order, then held in one pass, one
+pin per walk) and every training sample runs inside
+:func:`single_blas_thread`, so ``threads`` pool threads use ``threads`` cores
+and results do not depend on the host's ``OPENBLAS_NUM_THREADS``.  Training runs its samples on a pool as large as
 the host count that :func:`single_blas_thread` yields.
 
 The thread count is process-wide, so entries are counted under a lock: the

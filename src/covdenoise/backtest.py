@@ -31,10 +31,11 @@ one ``eigvalsh``, a ``2s-lp`` window one ``eigh`` and one ``eigvalsh``.  Only
 a QP whose estimate has a floored eigenvalue adds the ``eigh`` of that
 estimate.
 
-Each window, from its seriation and training through its estimate,
-allocation and hold, runs on one BLAS thread; a ``cnn``/``hybrid`` window's
-training parallelizes over its samples instead.  This is the package's BLAS
-rule, stated in :mod:`covdenoise._blas`.
+No hold feeds an allocation, so the engine allocates the windows in order,
+then holds every target in one pass, one pin per walk: every window's
+seriation, training, estimate and allocation, and the hold, run on one BLAS
+thread; a ``cnn``/``hybrid`` window's training parallelizes over its samples
+instead.  This is the package's BLAS rule, stated in :mod:`covdenoise._blas`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .errors import CovDenoiseError, NumericError, ParameterError
 from .estimators import make_estimator, network_mode, validated_sample
 from .ingest import ReturnsPanel, is_iso_date, write_dated_table
 from .portfolio import PerformanceMetrics, WeightVector, mvp_plus_weights, portfolio_metrics
-from .spectral import cov_to_corr, invert_permutation, spectral_seriation
+from .spectral import cov_to_corr, spectral_seriation
 
 RETURN_MODES = ("simple", "log")
 
@@ -116,22 +117,25 @@ def _rebalance_boundaries(panel: ReturnsPanel, split_date: str, t_out: int) -> r
     return range(split, panel.n_dates - t_out + 1, t_out)
 
 
-def _hold_period(
-    weights: np.ndarray, window: np.ndarray, mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Daily portfolio simple returns over a hold window plus drifted weights."""
+def _hold(targets: np.ndarray, holds: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Daily portfolio simple returns of every hold, back to back, and each
+    window's weights at the end of its hold.
+
+    ``targets`` has one row of weights per window and ``holds`` the log
+    returns by window, asset and day; the windows move together, one day at a
+    time."""
     if mode == "log":
-        portfolio = np.exp(weights @ window) - 1.0
-        return portfolio, weights.copy()
-    growth = np.exp(window)  # price relatives by asset and day
-    holdings = weights.copy()
-    out = np.empty(window.shape[1])
-    for day in range(window.shape[1]):
-        value = holdings * growth[:, day]
-        total = value.sum()
-        out[day] = total - 1.0
-        holdings = value / total
-    return out, holdings
+        return (np.exp(targets[:, None, :] @ holds) - 1.0).ravel(), targets
+    holdings = targets.copy()
+    value = np.empty_like(holdings)
+    returns = np.empty((len(targets), holds.shape[2]))
+    for day in range(holds.shape[2]):
+        np.exp(holds[:, :, day], out=value)  # the day's price relatives
+        value *= holdings
+        total = value.sum(axis=1)
+        returns[:, day] = total - 1.0
+        np.divide(value, total[:, None], out=holdings)
+    return returns.ravel(), holdings
 
 
 def _train_window_weights(config: WalkForwardConfig, mode: str, training_block: np.ndarray):
@@ -154,35 +158,26 @@ def _rebalance_loop(
     return_mode: str,
     allocate: Callable[[int, int], tuple[WeightVector, dict]],
 ) -> BacktestReport:
-    """Hold the target ``allocate(window, boundary)`` for ``hold_days`` days
-    from each boundary (holds run back to back) and aggregate."""
-    weight_history: list[WeightVector] = []
-    pre_rebalance: list[np.ndarray] = []
-    daily_returns: list[np.ndarray] = []
-    diagnostics: list[dict] = []
-    drifted: np.ndarray | None = None
+    """Allocate ``allocate(window, boundary)`` at each boundary in order, then
+    hold every target for ``hold_days`` days in one pass, and aggregate.
 
-    for k, boundary in enumerate(boundaries):
-        hold = panel.values[:, boundary:boundary + hold_days]
-        with single_blas_thread():
-            allocation, window_diag = allocate(k, boundary)
-            if drifted is not None:
-                pre_rebalance.append(drifted)
-            returns, drifted = _hold_period(allocation.weights, hold, return_mode)
-        weight_history.append(allocation)
-        daily_returns.append(returns)
-        diagnostics.append(window_diag)
-
-    series = np.concatenate(daily_returns)
-    metrics = portfolio_metrics(
-        series, [w.weights for w in weight_history], pre_rebalance_weights=pre_rebalance
-    )
+    The holds run back to back over one block of days: ``boundaries.step ==
+    hold_days``, or there is a single window."""
+    with single_blas_thread():
+        allocated = [allocate(k, boundary) for k, boundary in enumerate(boundaries)]
+        weight_history = [allocation for allocation, _ in allocated]
+        diagnostics = [window_diag for _, window_diag in allocated]
+        targets = np.array([allocation.weights for allocation in weight_history])
+        windows, p = targets.shape
+        days = slice(boundaries[0], boundaries[0] + windows * hold_days)
+        holds = panel.values[:, days].reshape(p, windows, hold_days).transpose(1, 0, 2)
+        series, drifted = _hold(targets, holds, return_mode)
     return BacktestReport(
         rebalance_dates=[panel.dates[boundary] for boundary in boundaries],
         weight_history=weight_history,
-        daily_dates=list(panel.dates[boundaries[0]:boundaries[-1] + hold_days]),
+        daily_dates=list(panel.dates[days]),
         daily_returns=series,
-        metrics=metrics,
+        metrics=portfolio_metrics(series, list(targets), pre_rebalance_weights=drifted[:-1]),
         symbols=panel.symbols,
         diagnostics=diagnostics,
     )
@@ -236,7 +231,7 @@ def walk_forward(panel: ReturnsPanel, config: WalkForwardConfig) -> BacktestRepo
                 f"({panel.dates[boundary]}): {exc}"
             ) from exc
         if order is not None:
-            undo = invert_permutation(order)
+            undo = np.argsort(order)
             estimate = CovarianceMatrix(estimate.values[np.ix_(undo, undo)], estimate.provenance)
         allocation = mvp_plus_weights(estimate, support=support)
         support = allocation.weights > 0

@@ -181,7 +181,7 @@ def psd_project(m, floor: float = 0.0) -> np.ndarray:
     if floor < 0.0:
         raise ParameterError("floor must be nonnegative")
     sym = symmetrize(as_matrix(m))
-    eigenvalues, vectors = np.linalg.eigh(sym)
+    eigenvalues, vectors = ascending_spectrum(sym)
     if eigenvalues[0] >= floor:
         return sym
     clamped = np.maximum(eigenvalues, floor)
@@ -239,14 +239,8 @@ def spectral_seriation(corr: np.ndarray) -> np.ndarray:
         raise ParameterError("correlation matrix must have a unit diagonal")
     affinity = (symmetrize(c) + 1.0) / 2.0
     laplacian = np.diag(affinity.sum(axis=1)) - affinity
-    _, vectors = np.linalg.eigh(laplacian)
+    _, vectors = ascending_spectrum(laplacian)
     fiedler = vectors[:, 1]
     if fiedler[0] > fiedler[-1]:
         fiedler = -fiedler
     return np.lexsort((np.arange(p), fiedler))
-
-
-def invert_permutation(order: np.ndarray) -> np.ndarray:
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return inverse

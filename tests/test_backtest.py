@@ -21,6 +21,7 @@ from covdenoise import (
     walk_forward,
     write_report_files,
 )
+from covdenoise._blas import single_blas_thread
 from covdenoise.covariance import CovarianceMatrix, symmetrize
 from covdenoise.denoiser import DenoiserConfig
 from covdenoise.ingest import ReturnsPanel
@@ -461,6 +462,93 @@ def test_warm_started_weights_match_a_cold_solve_on_every_window(
         np.testing.assert_allclose(weights, cold, rtol=0, atol=1e-12)
         previous = weights
     assert blocks["walk_forward"] * 3 < blocks["cold"]
+
+
+def reference_hold_period(weights, window, mode):
+    """Daily portfolio simple returns over one window's hold plus its drifted
+    weights, as the engine computed them one window and one day at a time."""
+    if mode == "log":
+        portfolio = np.exp(weights @ window) - 1.0
+        return portfolio, weights.copy()
+    growth = np.exp(window)  # price relatives by asset and day
+    holdings = weights.copy()
+    out = np.empty(window.shape[1])
+    for day in range(window.shape[1]):
+        value = holdings * growth[:, day]
+        total = value.sum()
+        out[day] = total - 1.0
+        holdings = value / total
+    return out, holdings
+
+
+def reference_rebalance_loop(panel, boundaries, hold_days, return_mode, allocate):
+    """The rebalance loop that allocated and then held each window in turn,
+    each window on its own BLAS pin, carrying the drifted weights across."""
+    weight_history, pre_rebalance, daily_returns, diagnostics = [], [], [], []
+    drifted = None
+    for k, boundary in enumerate(boundaries):
+        hold = panel.values[:, boundary:boundary + hold_days]
+        with single_blas_thread():
+            allocation, window_diag = allocate(k, boundary)
+            if drifted is not None:
+                pre_rebalance.append(drifted)
+            returns, drifted = reference_hold_period(allocation.weights, hold, return_mode)
+        weight_history.append(allocation)
+        daily_returns.append(returns)
+        diagnostics.append(window_diag)
+    series = np.concatenate(daily_returns)
+    metrics = backtest.portfolio_metrics(
+        series, [w.weights for w in weight_history], pre_rebalance_weights=pre_rebalance
+    )
+    return backtest.BacktestReport(
+        rebalance_dates=[panel.dates[boundary] for boundary in boundaries],
+        weight_history=weight_history,
+        daily_dates=list(panel.dates[boundaries[0]:boundaries[-1] + hold_days]),
+        daily_returns=series,
+        metrics=metrics,
+        symbols=panel.symbols,
+        diagnostics=diagnostics,
+    )
+
+
+STRATEGIES = {
+    "walk_forward": walk_forward,
+    "uniform_portfolio": uniform_portfolio,
+    "buy_and_hold": lambda panel, config: buy_and_hold(panel, "A2", config),
+}
+
+
+@pytest.mark.parametrize("return_mode", backtest.RETURN_MODES)
+@pytest.mark.parametrize("t_out", [7, 30, 182])
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_one_pass_hold_is_bitwise_the_per_window_reference(monkeypatch, strategy, t_out,
+                                                           return_mode):
+    # 80, 18 or 3 windows, and a few days left over after the last hold; past
+    # eight assets a sum is pairwise, so summing in another order would show
+    panel = correlated_panel(3, 20, 600)
+    config = WalkForwardConfig(split_date=panel.dates[40], t_in=40, t_out=t_out, delta_t=t_out,
+                               return_mode=return_mode)
+    pre_rebalance = []
+    real_metrics = backtest.portfolio_metrics
+
+    def recording(returns, weights, pre_rebalance_weights=None):
+        pre_rebalance.append(np.array(pre_rebalance_weights, dtype=float).reshape(-1, 20))
+        return real_metrics(returns, weights, pre_rebalance_weights=pre_rebalance_weights)
+
+    monkeypatch.setattr(backtest, "portfolio_metrics", recording)
+    report = STRATEGIES[strategy](panel, config)
+    monkeypatch.setattr(backtest, "_rebalance_loop", reference_rebalance_loop)
+    expected = STRATEGIES[strategy](panel, config)
+    assert report.daily_returns.tobytes() == expected.daily_returns.tobytes()
+    assert pre_rebalance[0].tobytes() == pre_rebalance[1].tobytes()
+    assert report.metrics.to_json_text() == expected.metrics.to_json_text()
+    assert report.metrics == expected.metrics
+    assert [w.weights.tobytes() for w in report.weight_history] == [
+        w.weights.tobytes() for w in expected.weight_history
+    ]
+    assert report.rebalance_dates == expected.rebalance_dates
+    assert report.daily_dates == expected.daily_dates
+    assert report.diagnostics == expected.diagnostics
 
 
 def test_two_step_hybrid_walk_forward_runs(rng):

@@ -169,8 +169,7 @@ def test_walk_forward_trains_allocates_and_holds_pinned(host_count, monkeypatch)
                         _recording(seen, "sample", training.loss_and_gradients))
     monkeypatch.setattr(backtest, "mvp_plus_weights",
                         _recording(seen, "allocate", backtest.mvp_plus_weights))
-    monkeypatch.setattr(backtest, "_hold_period",
-                        _recording(seen, "hold", backtest._hold_period))
+    monkeypatch.setattr(backtest, "_hold", _recording(seen, "hold", backtest._hold))
     panel = _factor_panel(1, 3, 220)
     net = DenoiserConfig(input_size=3, num_blocks=1, num_filters=2, kernel=3,
                          epochs=1, batch_size=8, seed=4)
@@ -179,8 +178,8 @@ def test_walk_forward_trains_allocates_and_holds_pinned(host_count, monkeypatch)
         denoiser_config=net, train_window_count=4, train_stride=2, pre_history_days=60,
     )
     backtest.walk_forward(panel, config)
-    # two windows, each training on its four samples
-    assert seen == {"sample": [1] * 8, "allocate": [1] * 2, "hold": [1] * 2}
+    # two windows, each training on its four samples, then one hold for the walk
+    assert seen == {"sample": [1] * 8, "allocate": [1] * 2, "hold": [1]}
     assert _count() == host_count
 
 
