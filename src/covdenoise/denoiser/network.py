@@ -9,14 +9,16 @@ symmetrized and eigenvalue-clamped so the result is a usable covariance
 matrix; in eigenvector mode it is returned raw.
 
 Every activation lives on the padded grid of :mod:`.ops` from the moment it
-is written until the backward pass is done with it.  The input batch is laid
+is written until its last reader is done with it.  The input batch is laid
 onto a grid once; each layer writes the next grid, with bias, residual and
 ReLU applied in place and the padding re-zeroed; only the head's one-channel
-output is cropped back to (batch, 1, p, p).  A training step keeps the input,
-stem and block grids; its backward pass reads them as they are, masks each
-gradient grid with its activation's ReLU pattern (which also zeroes the
-padding), and releases a block's grids once that block's gradients are
-formed.
+output is cropped back to (batch, 1, p, p).  A pass without a cache drops
+each grid once the next layer has read it.  A training step keeps the input,
+stem and block grids; its backward pass reads each as it is for the one
+kernel gradient that needs it, then keeps only its boolean ReLU pattern,
+which masks the gradient grid flowing into that activation (and zeroes its
+padding).  The backward pass therefore never holds more grids than the
+forward cache.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ def forward_batch(weights: DenoiserWeights, x: np.ndarray, keep_cache: bool = Fa
     """Raw network output for a (batch, 1, p, p) input in normalized units.
 
     With ``keep_cache`` the input and activation grids needed by
-    :func:`backward_batch` are returned alongside the output.
+    :func:`backward_batch` are returned alongside the output; without it a
+    grid is dropped as soon as the next layer has read it.
     """
     x = np.asarray(x, dtype=float)
     _check_conv_shapes(x, weights.stem_kernel)
@@ -146,16 +149,17 @@ def forward_batch(weights: DenoiserWeights, x: np.ndarray, keep_cache: bool = Fa
     layout = GridLayout(batch, height, width, weights.config.kernel // 2)
     x_grid = layout.grid(x)
     current = conv_layer(x_grid, weights.stem_kernel, weights.stem_bias, layout)
-    activations = [current]
+    activations: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
     for block in weights.blocks:
         h1 = conv_layer(current, block.conv1_kernel, block.conv1_bias, layout)
-        current = conv_layer(h1, block.conv2_kernel, block.conv2_bias, layout, residual=current)
         if keep_cache:
-            hidden.append(h1)
             activations.append(current)
+            hidden.append(h1)
+        current = conv_layer(h1, block.conv2_kernel, block.conv2_bias, layout, residual=current)
     out = conv_output(current, weights.head_kernel, weights.head_bias, layout)
     if keep_cache:
+        activations.append(current)
         return out, (layout, x_grid, activations, hidden)
     return out
 
@@ -165,30 +169,35 @@ def backward_batch(
 ) -> list[np.ndarray]:
     """Parameter gradients in declaration order for a cached forward pass.
 
-    The cache is consumed: each block's grids are released once its
-    backward pass is done.
+    The cache is consumed.  Each activation grid is replaced by its boolean
+    ReLU mask as soon as the one kernel gradient that reads it is formed (a
+    block's output after the head or the next block's conv1, a block's h1
+    after its conv2) and before the next gradient grid is allocated, so the
+    pass never holds more grids than the forward cache did.
     """
     layout, x_grid, activations, hidden = cache
     grad_grid = layout.grid(grad_out)
     grads = list(parameter_gradients(grad_grid, activations[-1], layout))
+    activations[-1] = activations[-1] > 0.0
     grad = input_gradient(grad_grid, weights.head_kernel, layout)
     del grad_grid
     for block in reversed(weights.blocks):
         # ReLU masks are zero at every padding position, so masking also
         # clears the garbage an input gradient leaves there.
-        grad *= activations.pop() > 0.0
-        block_hidden = hidden.pop()
-        gk2, gb2 = parameter_gradients(grad, block_hidden, layout)
+        grad *= activations.pop()
+        gk2, gb2 = parameter_gradients(grad, hidden[-1], layout)
+        hidden_mask = hidden.pop() > 0.0
         grad_h1 = input_gradient(grad, block.conv2_kernel, layout)
-        grad_h1 *= block_hidden > 0.0
-        del block_hidden
+        grad_h1 *= hidden_mask
+        del hidden_mask
         gk1, gb1 = parameter_gradients(grad_h1, activations[-1], layout)
+        activations[-1] = activations[-1] > 0.0
         grad_in = input_gradient(grad_h1, block.conv1_kernel, layout)
         del grad_h1
         grad_in += grad  # skip connection
         grad = grad_in
         grads[:0] = (gk1, gb1, gk2, gb2)
-    grad *= activations.pop() > 0.0
+    grad *= activations.pop()
     # the stem's input gradient would only reach the data, so it is not formed
     grads[:0] = parameter_gradients(grad, x_grid, layout)
     return grads
@@ -197,8 +206,16 @@ def backward_batch(
 def loss_and_gradients(
     weights: DenoiserWeights, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean-squared error over a batch plus its parameter gradients."""
+    """Mean-squared error over a batch plus its parameter gradients.
+
+    ``targets`` must have the network output's shape, (batch, 1, p, p).
+    """
     out, cache = forward_batch(weights, inputs, keep_cache=True)
+    if np.shape(targets) != out.shape:
+        raise ParameterError(
+            f"targets shape {np.shape(targets)} does not match the network output "
+            f"shape {out.shape}"
+        )
     diff = out - targets
     loss = float(np.mean(diff * diff))
     grad_out = 2.0 * diff / diff.size

@@ -27,6 +27,8 @@ input gradient is the forward convolution of the upstream gradient grid with
 the kernel rotated 180 degrees and its channel axes swapped, which is exact
 for odd k with symmetric padding.  Its padding positions hold garbage until
 the caller masks them with the ReLU pattern of the input, whose pads are zero.
+The bias gradient sums the upstream gradient's valid pixels from contiguous
+copies of a few channels of one image at a time (:func:`_bias_gradient`).
 Only the output leaves the grid, cropped by :meth:`GridLayout.crop`.
 
 :func:`conv2d_same` and :func:`conv2d_backward` are the same kernels behind
@@ -208,8 +210,34 @@ def parameter_gradients(
         for tap, offset in enumerate(layout.offsets):
             np.matmul(upstream, x_grid[:, offset:offset + size].T, out=taps[tap])
         grad_kernel = np.ascontiguousarray(taps.reshape(k, k, out_ch, in_ch).transpose(2, 3, 0, 1))
-    grad_bias = np.ascontiguousarray(layout.crop(grad_grid)).sum(axis=(0, 2, 3))
-    return grad_kernel, grad_bias
+    return grad_kernel, _bias_gradient(grad_grid, layout)
+
+
+_BIAS_CHUNK = 8
+
+
+def _bias_gradient(grad_grid: np.ndarray, layout: GridLayout) -> np.ndarray:
+    """Per-channel sum of a gradient grid's valid pixels, bytewise equal to
+    ``np.ascontiguousarray(layout.crop(grad_grid)).sum(axis=(0, 2, 3))``.
+
+    With several channels NumPy's reduction adds, image by image, one
+    pairwise sum over each channel's H*W pixels.  The same sums are taken
+    from contiguous copies of at most ``_BIAS_CHUNK`` channels of one image
+    in one reused buffer, so no (B, C, H, W) copy is made.  One channel is
+    one pairwise sum over all B*H*W pixels, and its copy is small.
+    """
+    crop = layout.crop(grad_grid)
+    channels = crop.shape[1]
+    if channels == 1:
+        return np.ascontiguousarray(crop).sum(axis=(0, 2, 3))
+    total = np.zeros(channels)
+    buffer = np.empty((min(channels, _BIAS_CHUNK), layout.height, layout.width))
+    for image in crop:
+        for start in range(0, channels, _BIAS_CHUNK):
+            chunk = buffer[:min(_BIAS_CHUNK, channels - start)]
+            np.copyto(chunk, image[start:start + _BIAS_CHUNK])
+            total[start:start + _BIAS_CHUNK] += chunk.sum(axis=(1, 2))
+    return total
 
 
 def input_gradient(grad_grid: np.ndarray, kernel: np.ndarray, layout: GridLayout) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from covdenoise.denoiser import conv2d_backward, conv2d_same
+from covdenoise.denoiser import conv2d_backward, conv2d_same, ops
 from covdenoise.errors import ParameterError
 
 
@@ -101,6 +101,26 @@ def test_conv_peak_memory_stays_near_input_size(rng):
     upstream = rng.standard_normal(x.shape)
     assert traced_peak(lambda: conv2d_same(x, kernel, bias)) <= 4 * x.nbytes
     assert traced_peak(lambda: conv2d_backward(upstream, x, kernel)) <= 4 * x.nbytes
+
+
+@pytest.mark.parametrize("size", [(7, 5), (100, 100)], ids=["7x5", "100x100"])
+@pytest.mark.parametrize("channels", [1, 3, 8, 9, 64])
+@pytest.mark.parametrize("batch", [1, 2, 5])
+def test_bias_gradient_is_bytewise_the_full_copy_sum(rng, batch, channels, size):
+    # The chunked sum relies on NumPy's reduction order over a contiguous
+    # (B, C, H, W) array: per image, one pairwise sum per channel, or one over
+    # all B*H*W pixels when C is 1.  Magnitudes spanning 1e-9..1e9 make any
+    # other order show; 100x100 pixels outnumber NumPy's default 8192-element
+    # buffer.
+    layout = ops.GridLayout(batch, *size, 1)
+    grad_grid = layout.zeros(channels)
+    values = rng.standard_normal((batch, channels, *size))
+    values *= np.exp(rng.uniform(-20.0, 20.0, values.shape))
+    values[rng.random(values.shape) < 0.25] = -0.0
+    layout.crop(grad_grid)[...] = values
+    _, grad_bias = ops.parameter_gradients(grad_grid, layout.grid(values[:, :1]), layout)
+    expected = np.ascontiguousarray(layout.crop(grad_grid)).sum(axis=(0, 2, 3))
+    assert grad_bias.tobytes() == expected.tobytes()
 
 
 def test_identity_kernel_passthrough():

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
@@ -172,6 +173,27 @@ def test_training_reduces_loss_on_identity_task(rng):
     assert len(history.train_mse) == 10
     assert history.train_mse[-1] < 0.5 * history.train_mse[0]
     assert len(history.validation_mse) == 10
+
+
+# sha256 of the trained float64 tensors in declaration order, recorded before
+# backpropagation released activation grids early and summed bias gradients
+# eight channels at a time; 32 filters span four such chunks.
+TRAINED_TENSORS_DIGEST = "202a3913305f22ea5841b6646d0de73651c8a9934d7b41f502d4085d79be01ec"
+
+
+def test_trained_tensors_keep_their_bytes(rng):
+    inputs = rng.standard_normal((10, 8, 8))
+    targets = rng.standard_normal((10, 8, 8))
+    config = DenoiserConfig(
+        input_size=8, num_blocks=2, num_filters=32, kernel=3, seed=4,
+        batch_size=4, epochs=2, mode="eigenvectors",
+    )
+    weights, _ = train(config, TrainingSet(inputs=inputs, targets=targets))
+    digest = hashlib.sha256()
+    for tensor in weights.tensors():
+        assert tensor.dtype == np.float64 and tensor.flags.c_contiguous
+        digest.update(tensor.tobytes())
+    assert digest.hexdigest() == TRAINED_TENSORS_DIGEST
 
 
 def test_zero_learning_rate_freezes_weights(rng):
