@@ -16,16 +16,15 @@ free of look-ahead by construction.
 Each window's long-only QP starts from the previous allocation's support
 (the ``support`` warm start of :func:`~covdenoise.portfolio.mvp_plus_weights`):
 consecutive windows move the support by a few assets, so the solver pivots a
-few times instead of blocking most assets one by one.  The warm start runs
-only below the estimate's rank, where it ends on the cold solve's weights to
-1e-12; where a singular estimate's optimum reaches its rank the cold solve
-decides.  So a window's weights depend on the previous window's only through
-rounding.
+few times instead of blocking most assets one by one.  The first window starts
+from the asset of smallest variance.  Every start ends on the same optimum, to
+1e-12 on singular estimates too, so a window's weights depend on the previous
+window's only through rounding.
 
-Each window decomposes each matrix at most once.  The QP, warm or cold,
-reads only the estimate's validation eigenvalues (it works on the estimate's
-values when none is floored), and the sample is validated from the one
-``eigh`` whose vectors the estimator reads, when it reads them
+Each window decomposes each matrix at most once.  The QP reads only the
+estimate's validation eigenvalues (it works on the estimate's values when none
+is floored), and the sample is validated from the one ``eigh`` whose vectors
+the estimator reads, when it reads them
 (:func:`~covdenoise.estimators.validated_sample`): a ``naive`` window makes
 one ``eigvalsh``, a ``2s-lp`` window one ``eigh`` and one ``eigvalsh``.  Only
 a QP whose estimate has a floored eigenvalue adds the ``eigh`` of that

@@ -42,6 +42,15 @@ def as_matrix(m) -> np.ndarray:
     return m.values if isinstance(m, CovarianceMatrix) else np.asarray(m, dtype=float)
 
 
+def as_covariance(m, decomposed: bool = False) -> "CovarianceMatrix":
+    """A CovarianceMatrix as is, or a plain array validated as one: from one
+    ``eigh`` when ``decomposed`` (for a caller that reads the eigenvectors),
+    from ``eigvalsh`` otherwise."""
+    if isinstance(m, CovarianceMatrix):
+        return m
+    return CovarianceMatrix.decomposed(m) if decomposed else CovarianceMatrix(m)
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric PSD matrix with provenance.

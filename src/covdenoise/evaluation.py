@@ -29,7 +29,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 import numpy as np
 
 from ._blas import single_blas_thread
-from .covariance import CovarianceMatrix, as_matrix
+from .covariance import CovarianceMatrix, as_covariance, as_matrix
 from .errors import CovDenoiseError, ParameterError, SingularMatrixError
 from .estimators import make_estimator, network_mode
 from .ingest import table_text
@@ -54,13 +54,13 @@ def frobenius_loss(xi, sigma) -> float:
 
 
 def _population_inverse(sigma) -> tuple[np.ndarray, float]:
-    """Sigma^-2 and Tr Sigma^-1 from Sigma's floored spectrum, cached on a
-    CovarianceMatrix beside its spectrum.
+    """Sigma^-2 and Tr Sigma^-1 from Sigma's floored spectrum, cached on the
+    CovarianceMatrix ``sigma`` beside its spectrum.
 
     Not locked: a matrix shared between threads must have them filled before
     the threads start.  A singular Sigma raises and caches nothing.
     """
-    cache = sigma._cache if isinstance(sigma, CovarianceMatrix) else {}
+    cache = sigma._cache
     if "mv_loss" not in cache:
         eigenvalues, vectors = floored_spectrum(sigma, "sigma", singular_ok=False)
         inverse_square = (vectors / eigenvalues**2) @ vectors.T
@@ -77,20 +77,22 @@ def mv_loss(xi, sigma) -> float:
     The numerator is read as the inner product <Sigma^-2, Xi>, with Sigma^-2
     built once per population matrix (:func:`_population_inverse`), so the
     estimate contributes only its eigenvalues: the validation eigenvalues of
-    a CovarianceMatrix, or one ``eigvalsh`` of a plain array.  This agrees
-    with the explicit product of inverses within 1e-12 relative.
+    a CovarianceMatrix.  A plain array is validated as one first, the
+    estimate by one ``eigvalsh`` and the population matrix by the one
+    ``eigh`` its Sigma^-2 reads.  This agrees with the explicit product of
+    inverses within 1e-12 relative.
 
     Near-singular estimates are inverted after flooring eigenvalues at
     1e-12 times the largest; a singular population matrix is an error.
     """
-    xi_values = as_matrix(xi)
-    sigma_values = as_matrix(sigma)
-    if xi_values.shape != sigma_values.shape:
-        raise ParameterError(f"dimension mismatch: {xi_values.shape} vs {sigma_values.shape}")
-    p = sigma_values.shape[0]
+    xi = as_covariance(xi)
+    sigma = as_covariance(sigma, decomposed=True)
+    if xi.dim != sigma.dim:
+        raise ParameterError(f"dimension mismatch: {xi.values.shape} vs {sigma.values.shape}")
+    p = sigma.dim
     inverse_square, sigma_inv_trace = _population_inverse(sigma)
     xi_eigenvalues = floored_eigenvalues(xi, "xi")
-    numerator = float(np.vdot(inverse_square, xi_values)) / p
+    numerator = float(np.vdot(inverse_square, xi.values)) / p
     denominator = (sigma_inv_trace / p) ** 2
     return numerator / denominator - 1.0 / (float(np.sum(1.0 / xi_eigenvalues)) / p)
 

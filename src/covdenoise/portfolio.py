@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .covariance import as_matrix
+from .covariance import as_covariance
 from .errors import ParameterError, SolverError
 from .spectral import EIGENVALUE_FLOOR, floored_eigenvalues, floored_spectrum
 
@@ -31,6 +31,8 @@ class WeightVector:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ParameterError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(weights)):
+            raise ParameterError("weights must be finite")
         if abs(weights.sum() - 1.0) > BUDGET_TOL:
             raise ParameterError(f"weights sum to {weights.sum()!r}, expected 1")
         if self.long_only and np.any(weights < -1e-10):
@@ -41,7 +43,7 @@ class WeightVector:
 
 def mvp_weights(sigma) -> WeightVector:
     """Unconstrained minimum-variance weights Sigma^-1 1 / (1' Sigma^-1 1)."""
-    eigenvalues, vectors = floored_spectrum(sigma, "sigma")
+    eigenvalues, vectors = floored_spectrum(as_covariance(sigma, decomposed=True), "sigma")
     ones = np.ones(vectors.shape[0])
     solved = (vectors / eigenvalues) @ (vectors.T @ ones)
     return WeightVector(solved / solved.sum(), long_only=False)
@@ -54,25 +56,25 @@ def mvp_plus_weights(
 
     Each iteration moves towards the closed-form optimum on the free
     coordinates, x / (1'x) with quad_FF x = 1.  The free block is solved
-    afresh (one LU, ``np.linalg.solve``) at the start and after each block
-    or release, and a full step leaves it as it is.  ``quad`` is sigma's own
-    values when none of sigma's validation eigenvalues is floored
-    (:func:`~covdenoise.spectral.floored_eigenvalues`), so a full-rank sigma
-    is never decomposed; only where the floor binds is it the recomposition
-    of the floored spectrum.  Which matrix is used depends on those
-    eigenvalues alone, never on whether sigma's spectrum is cached.
+    afresh at the start and after each block or release, and a full step
+    leaves it as it is.  When none of sigma's validation eigenvalues is
+    floored (:func:`~covdenoise.spectral.floored_eigenvalues`), ``quad`` is
+    sigma's own values and each block is solved by one LU
+    (``np.linalg.solve``), so a full-rank sigma is never decomposed.  Where
+    the floor binds, ``quad`` is B B' with B = V sqrt(floored) from the
+    floored spectrum, and each block is solved as R'R x = 1 with R from the
+    QR of B_F': R's condition number is the square root of the block's, so
+    a block the floor makes singular to 1e-12 loses about 6 digits, not 12,
+    and the weights do not depend on the order of the assets.  Which matrix
+    is used depends on those eigenvalues alone, never on whether sigma's
+    spectrum is cached.  A plain array is validated as a
+    :class:`~covdenoise.covariance.CovarianceMatrix` first.
 
-    Without ``support`` every coordinate starts free, at uniform weights.  A
-    boolean ``support`` (say, the previous rebalance's ``weights > 0``)
-    warm-starts the solver at uniform weights on those coordinates.  The warm
-    start runs only while fewer coordinates are free than sigma has
-    eigenvalues above the floor (its rank): there the free block is well
-    conditioned and the optimum well determined, and the warm start ends on
-    the all-free start's weights to rounding.  A support that is empty or
-    reaches the rank starts all free; a warm start that would release up to
-    the rank, or that runs p iterations (more than an all-free start pivots),
-    is dropped for the all-free start, which gets what is left of
-    ``max_iterations``.
+    The solver starts at uniform weights on ``support`` (say, the previous
+    rebalance's ``weights > 0``) when it is given and not empty, and
+    otherwise on the one asset of smallest variance, lowest index on ties.
+    It raises :class:`SolverError` after ``max_iterations`` iterations,
+    50 max(p, 2) by default.
 
     A coordinate is blocked at the first boundary crossing: the ratio test
     keeps the first falling coordinate, in index order, whose ratio lies more
@@ -83,40 +85,30 @@ def mvp_plus_weights(
     most negative multiplier leaves first, lowest index on ties, so the
     pivoting is deterministic and terminates exactly.
     """
-    p = as_matrix(sigma).shape[0]
+    sigma = as_covariance(sigma)
+    p = sigma.dim
     cap = max_iterations if max_iterations is not None else 50 * max(p, 2)
     eigenvalues = floored_eigenvalues(sigma, "sigma")
-    rank = int(np.count_nonzero(eigenvalues > EIGENVALUE_FLOOR * eigenvalues[-1]))
-    if rank == p:
-        quad = as_matrix(sigma)
+    if eigenvalues[0] > EIGENVALUE_FLOOR * eigenvalues[-1]:
+        quad, factor = sigma.values, None
     else:
         floored, vectors = floored_spectrum(sigma, "sigma")
         quad = (vectors * floored) @ vectors.T
-    free = _starting_support(support, p, rank)
-    if free is not None:
-        weights, used = _active_set(quad, free, min(cap, p), rank)
-        if weights is not None:
-            return WeightVector(weights, long_only=True)
-        cap -= used
-    weights, _ = _active_set(quad, np.ones(p, dtype=bool), cap, p)
-    return WeightVector(weights, long_only=True)
+        factor = vectors * np.sqrt(floored)
+    free = _starting_support(support, np.diag(sigma.values))
+    return WeightVector(_active_set(quad, factor, free, cap), long_only=True)
 
 
 def _active_set(
-    quad: np.ndarray, free: np.ndarray, cap: int, rank: int
-) -> tuple[np.ndarray | None, int]:
+    quad: np.ndarray, factor: np.ndarray | None, free: np.ndarray, cap: int
+) -> np.ndarray:
     """The pivot loop of :func:`mvp_plus_weights` from uniform weights on the
-    ``free`` coordinates; ``free`` is updated in place.
-
-    Returns the optimal weights and the iterations taken.  A warm start
-    (``free`` not all true) returns None for the weights where a release
-    would leave ``rank`` coordinates free and when it hits ``cap``; the
-    all-free start raises :class:`SolverError` at ``cap``.
-    """
-    warm = not free.all()
+    ``free`` coordinates, which it updates in place; each free block is
+    solved by :func:`_free_block_solve`.  Returns the optimal weights, or
+    raises :class:`SolverError` after ``cap`` iterations."""
     weights = free / np.count_nonzero(free)
-    solved = _free_block_solve(quad, free)
-    for iteration in range(1, cap + 1):
+    solved = _free_block_solve(quad, factor, free)
+    for _ in range(cap):
         step = solved / solved.sum() - weights
         if np.abs(step).max() <= 1e-14:
             gradient = quad @ weights
@@ -124,11 +116,9 @@ def _active_set(
             multipliers = gradient - lam
             blocked = np.flatnonzero(~free)
             if blocked.size == 0 or np.all(multipliers[blocked] >= -RELEASE_TOL * lam):
-                return np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum(), iteration
-            if warm and np.count_nonzero(free) + 1 >= rank:
-                return None, iteration
+                return np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
             free[blocked[np.argmin(multipliers[blocked])]] = True
-            solved = _free_block_solve(quad, free)
+            solved = _free_block_solve(quad, factor, free)
             continue
         falling = (step < 0.0).nonzero()[0]
         limit, blocker = _ratio_test(falling, weights[falling] / -step[falling])
@@ -136,36 +126,42 @@ def _active_set(
         if blocker >= 0:
             weights[blocker] = 0.0
             free[blocker] = False
-            solved = _free_block_solve(quad, free)
+            solved = _free_block_solve(quad, factor, free)
         np.maximum(weights, 0.0, out=weights)
         weights /= weights.sum()
-    if warm:
-        return None, cap
     residual = _kkt_residual(quad, weights)
     raise SolverError(f"active-set solver hit the iteration cap (KKT residual {residual:.3e})")
 
 
-def _free_block_solve(quad: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """x with quad_FF x_F = 1 on the ``free`` coordinates F and 0 elsewhere."""
+def _free_block_solve(
+    quad: np.ndarray, factor: np.ndarray | None, free: np.ndarray
+) -> np.ndarray:
+    """x with quad_FF x_F = 1 on the ``free`` coordinates F and 0 elsewhere:
+    one LU of quad_FF without a ``factor``, else R'R x_F = 1 with R from the
+    QR of ``factor[F]'`` (quad = factor factor')."""
     solved = np.zeros(free.size)
     index = np.flatnonzero(free)
-    solved[index] = np.linalg.solve(quad[np.ix_(index, index)], np.ones(index.size))
+    ones = np.ones(index.size)
+    if factor is None:
+        solved[index] = np.linalg.solve(quad[np.ix_(index, index)], ones)
+    else:
+        r = np.linalg.qr(factor[index].T, mode="r")
+        solved[index] = np.linalg.solve(r, np.linalg.solve(r.T, ones))
     return solved
 
 
-def _starting_support(support, p: int, rank: int) -> np.ndarray | None:
-    """A copy of the warm-start ``support`` as a boolean mask, or None for the
-    all-free start (no support, an empty one, or one of ``rank`` or more
-    coordinates)."""
-    if support is None:
-        return None
-    free = np.array(support, dtype=bool)
+def _starting_support(support, variances: np.ndarray) -> np.ndarray:
+    """The solver's first free set: a boolean copy of ``support`` when it is
+    given and not empty, else the one coordinate of smallest ``variances``
+    (lowest index on ties)."""
+    p = variances.size
+    free = np.zeros(p, dtype=bool) if support is None else np.array(support, dtype=bool)
     if free.shape != (p,):
         raise ParameterError(
             f"support must be a boolean vector of length {p}, got shape {free.shape}"
         )
-    if not free.any() or np.count_nonzero(free) >= rank:
-        return None
+    if not free.any():
+        free[np.argmin(variances)] = True
     return free
 
 

@@ -204,12 +204,12 @@ def test_only_the_atomic_module_opens_files():
     # package opens or writes a file itself
     package = Path(covdenoise.__file__).parent
     modules = sorted(package.rglob("*.py"))
-    assert _FILE_WRITE.search((package / "atomic.py").read_text())
+    assert _FILE_WRITE.search((package / "atomic.py").read_text(encoding="utf-8"))
     offenders = [
         f"{path.relative_to(package)}:{number}: {line.strip()}"
         for path in modules
         if path != package / "atomic.py"
-        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if _FILE_WRITE.search(line)
     ]
     assert len(modules) > 10 and offenders == []

@@ -427,7 +427,8 @@ def test_warm_started_weights_match_a_cold_solve_on_every_window(
     # weekly rebalances, or holds as long as the in-sample window, so that
     # consecutive windows share no day; t_in < p leaves the naive windows
     # singular.  Each QP after the first starts from the previous window's
-    # support and blocks far fewer assets than a solve from all assets free
+    # support, lands on the solve from all assets free and blocks far fewer
+    # assets than it does
     panel = correlated_panel(0, p, t_in + 20 * t_out)
     config = WalkForwardConfig(split_date=panel.dates[t_in], estimator=estimator, t_in=t_in,
                                t_out=t_out, delta_t=t_out)
@@ -457,7 +458,7 @@ def test_warm_started_weights_match_a_cold_solve_on_every_window(
             assert support is None
         else:
             assert np.array_equal(support, previous > 0)
-        cold = mvp_plus_weights(sigma).weights
+        cold = mvp_plus_weights(sigma, support=np.ones(p, dtype=bool)).weights
         assert np.array_equal(weights > 0, cold > 0)
         np.testing.assert_allclose(weights, cold, rtol=0, atol=1e-12)
         previous = weights

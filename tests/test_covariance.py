@@ -8,13 +8,14 @@ from covdenoise import (
     ParameterError,
     estimate_lp,
     mv_loss,
+    mvp_plus_weights,
     mvp_weights,
     sample_covariance,
 )
 from covdenoise.covariance import symmetrize, window_covariance
 from covdenoise.estimators import estimate_two_step, shrink_eigenvalues
 from covdenoise.models import build_block_model
-from conftest import random_psd
+from conftest import count_decompositions, random_psd
 
 
 def test_retagged_shares_the_frozen_array(rng):
@@ -123,6 +124,38 @@ def test_decomposed_matrix_rejects_what_the_constructor_rejects(values, message)
         CovarianceMatrix(values, "sample")
     with pytest.raises(ParameterError, match=message):
         CovarianceMatrix.decomposed(values)
+
+
+MALFORMED = [
+    # each was accepted as a plain array, and gave a wrong result or a misleading error
+    pytest.param(np.array([[1.0, 0.9], [0.0, 1.0]]), "not symmetric", id="asymmetric"),
+    pytest.param(np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite", id="nan"),
+    pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive semidefinite",
+                 id="indefinite"),
+    pytest.param(np.ones((2, 3)), "must be square", id="non-square"),
+]
+
+
+@pytest.mark.parametrize("values, message", MALFORMED)
+def test_allocations_and_the_loss_validate_a_plain_array(values, message):
+    calls = [lambda: mvp_plus_weights(values), lambda: mvp_weights(values),
+             lambda: mv_loss(values, np.eye(2)), lambda: mv_loss(np.eye(2), values)]
+    for call in calls:
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
+def test_validating_a_plain_array_adds_no_decomposition(monkeypatch):
+    # each validation is the decomposition the call read anyway: an eigh
+    # where the eigenvectors are read, the eigenvalues alone otherwise
+    values = random_psd(np.random.default_rng(2), 6)
+    counts = count_decompositions(monkeypatch)
+    for call, expected in [(lambda: mvp_plus_weights(values), {"eigh": 0, "eigvalsh": 1}),
+                           (lambda: mvp_weights(values), {"eigh": 1, "eigvalsh": 0}),
+                           (lambda: mv_loss(values, values), {"eigh": 1, "eigvalsh": 1})]:
+        counts.update(eigh=0, eigvalsh=0)
+        call()
+        assert counts == expected
 
 
 def test_decomposed_matrix_is_validated_from_its_one_eigh(rng, monkeypatch):

@@ -13,7 +13,6 @@ from covdenoise import (
     mvp_weights,
     portfolio_metrics,
 )
-from covdenoise.errors import SingularMatrixError
 from conftest import random_psd
 
 
@@ -78,7 +77,8 @@ def test_mvp_scale_invariance(rng):
 
 
 def test_mvp_rejects_zero_matrix():
-    with pytest.raises(SingularMatrixError):
+    # validated as a covariance: its diagonal is not strictly positive
+    with pytest.raises(ParameterError, match="diagonal must be strictly positive"):
         mvp_weights(np.zeros((3, 3)))
 
 
@@ -89,10 +89,13 @@ def test_mvp_plus_identity_is_uniform():
 
 
 def test_mvp_plus_binding_constraint_case():
-    # unconstrained solution has a negative weight; the long-only optimum
-    # sits on the vertex (0, 1) of the simplex
-    sigma = np.array([[1.0, 0.9], [0.9, 0.5]])
-    values = [(t, t * t + 1.8 * t * (1 - t) + 0.5 * (1 - t) ** 2) for t in np.linspace(0, 1, 10001)]
+    # positive definite, and the unconstrained solution (-1, 2) is short the
+    # first asset; the long-only optimum sits on the vertex (0, 1) of the simplex
+    sigma = np.array([[1.0, 0.9], [0.9, 0.85]])
+    assert np.linalg.eigvalsh(sigma)[0] > 0.0
+    np.testing.assert_allclose(mvp_weights(sigma).weights, [-1.0, 2.0], rtol=0, atol=1e-12)
+    values = [(t, t * t + 1.8 * t * (1 - t) + 0.85 * (1 - t) ** 2)
+              for t in np.linspace(0, 1, 10001)]
     grid_best = min(values, key=lambda pair: pair[1])
     assert grid_best[0] == 0.0
     allocation = mvp_plus_weights(sigma)
@@ -142,31 +145,38 @@ def test_mvp_plus_does_not_depend_on_the_units_of_sigma():
 
 @pytest.mark.parametrize("support", [np.zeros(5, dtype=bool), np.ones(5, dtype=bool)])
 def test_mvp_plus_empty_and_full_supports_are_the_cold_start(rng, support):
+    # an empty support is no support: the same start, so the same bits.  All
+    # assets free is another start, and lands on the same optimum
     sigma = random_psd(rng, 5, scale_spread=1.5)
     cold = mvp_plus_weights(sigma).weights
-    assert np.array_equal(mvp_plus_weights(sigma, support=support).weights, cold)
+    atol = 1e-14 if support.any() else 0.0
+    np.testing.assert_allclose(mvp_plus_weights(sigma, support=support).weights, cold,
+                               rtol=0, atol=atol)
 
 
-def test_mvp_plus_support_reaching_the_rank_is_the_cold_start(rng, monkeypatch):
-    # 6 observations of 12 assets: rank 5, so a support of 5 starts all free
-    # and one of 4 warm
+def test_mvp_plus_support_reaching_the_rank_starts_as_given(rng, monkeypatch):
+    # 6 observations of 12 assets: rank 5.  No start rule reads the rank: a
+    # support below it, at it, above it or of every asset starts as given,
+    # and each lands on the default start's weights
     draws = rng.standard_normal((12, 6))
     draws -= draws.mean(axis=1, keepdims=True)
     sigma = draws @ draws.T / 5
     cold = mvp_plus_weights(sigma).weights
-    all_free = []
+    starts = []
     active_set = portfolio._active_set
 
-    def recording(quad, free, *rest):
-        all_free.append(bool(free.all()))
-        return active_set(quad, free, *rest)
+    def recording(quad, factor, free, cap):
+        starts.append(free.copy())
+        return active_set(quad, factor, free, cap)
 
     monkeypatch.setattr(portfolio, "_active_set", recording)
-    assert np.array_equal(mvp_plus_weights(sigma, support=np.arange(12) < 5).weights, cold)
-    assert all_free == [True]
-    all_free.clear()
-    mvp_plus_weights(sigma, support=np.arange(12) < 4)
-    assert all_free[0] is False
+    for size in (4, 5, 8, 12):
+        support = np.arange(12) < size
+        starts.clear()
+        weights = mvp_plus_weights(sigma, support=support).weights
+        assert len(starts) == 1 and np.array_equal(starts[0], support)
+        assert np.array_equal(weights > 0, cold > 0)
+        np.testing.assert_allclose(weights, cold, rtol=0, atol=1e-12)
 
 
 def _flipped_supports(weights):
@@ -226,6 +236,13 @@ def test_weight_vector_validation():
         WeightVector(np.array([0.6, 0.6]))
     with pytest.raises(ParameterError):
         WeightVector(np.array([1.5, -0.5]), long_only=True)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+def test_weight_vector_rejects_non_finite_weights(weights):
+    # a NaN sum passes the budget check, which compares with >
+    with pytest.raises(ParameterError, match="weights must be finite"):
+        WeightVector(np.array(weights))
 
 
 def test_metrics_flat_series():
