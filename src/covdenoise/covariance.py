@@ -8,7 +8,8 @@ root and the closed-form portfolio allocation all read it.  The eigenvalues
 that validation computes are kept too; the minimum-variance loss, the
 backtest's condition number and the long-only QP of a full-rank matrix need
 nothing more.  A matrix whose eigenvectors will be read is validated from
-that one decomposition instead (:meth:`CovarianceMatrix.decomposed`).
+that one decomposition instead (:meth:`CovarianceMatrix.decomposed`).  Both
+come from :mod:`covdenoise._blas`, which makes every eigendecomposition.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .errors import DataError, ParameterError
 
 SYMMETRY_ABS_TOL = 1e-12
@@ -60,10 +62,10 @@ class CovarianceMatrix:
     The array is frozen (read-only) after validation, so its spectrum is
     computed on first use and cached.  ``eigenvalues`` holds the ascending
     eigenvalues of the validation, read-only.  ``CovarianceMatrix(values)``
-    validates with :func:`~covdenoise.spectral.symmetric_eigenvalues` (the
-    bytes of ``np.linalg.eigvalsh``), whose values may differ from
-    ``spectrum[0]`` in the last bits; a :meth:`decomposed` matrix is validated
-    from its one ``eigh``, so its eigenvalues are ``spectrum[0]`` itself; a
+    validates with :func:`~covdenoise._blas.eigvalsh` (the bytes of
+    ``np.linalg.eigvalsh``), whose values may differ from ``spectrum[0]`` in
+    the last bits; a :meth:`decomposed` matrix is validated from its one
+    ``eigh``, so its eigenvalues are ``spectrum[0]`` itself; a
     :meth:`recomposed` one takes the eigenvalues it was built from.
     """
 
@@ -75,10 +77,8 @@ class CovarianceMatrix:
     _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        from .spectral import symmetric_eigenvalues
-
         values = _checked(self.values)
-        self._seal(values, self.provenance, symmetric_eigenvalues(values))
+        self._seal(values, self.provenance, _blas.eigvalsh(values))
 
     @classmethod
     def decomposed(cls, values, provenance: str = "sample") -> "CovarianceMatrix":
@@ -86,10 +86,8 @@ class CovarianceMatrix:
         spectrum is cached: for a caller that reads the eigenvectors, this
         saves the ``eigvalsh`` of the validation.  Same checks and messages as
         the constructor; ``eigenvalues`` is ``spectrum[0]``."""
-        from .spectral import ascending_spectrum
-
         values = _checked(values)
-        eigenvalues, vectors = ascending_spectrum(values)
+        eigenvalues, vectors = _blas.eigh(values)
         matrix = object.__new__(cls)
         matrix._seal(values, provenance, eigenvalues)
         vectors.flags.writeable = False
@@ -136,9 +134,7 @@ class CovarianceMatrix:
         filled before the threads start.
         """
         if "spectrum" not in self._cache:
-            from .spectral import ascending_spectrum
-
-            eigenvalues, vectors = ascending_spectrum(self.values)
+            eigenvalues, vectors = _blas.eigh(self.values)
             eigenvalues.flags.writeable = False
             vectors.flags.writeable = False
             self._cache["spectrum"] = (eigenvalues, vectors)

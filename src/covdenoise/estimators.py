@@ -18,6 +18,8 @@ first-stage estimate already made from it.
 :func:`make_estimator` checks that the weights it binds were trained in that
 mode.  Entries reach the estimate functions through their module-global
 names at call time, so a wrapper installed on the module sees every call.
+Every ``estimate_*`` function, and the callable :func:`make_estimator`
+returns, takes a CovarianceMatrix as is and validates a plain array as one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, symmetrize
+from .covariance import CovarianceMatrix, as_covariance, symmetrize
 from .errors import ParameterError
 from .hierarchy import cophenetic_matrix, correlation_distance, linkage
 from .spectral import corr_to_cov, cov_to_corr, eigendecompose_sym
@@ -72,7 +74,7 @@ def shrink_eigenvalues(eigenvalues: np.ndarray, n: int) -> np.ndarray:
 
 def estimate_naive(s: CovarianceMatrix) -> CovarianceMatrix:
     """The sample covariance itself."""
-    return s.retagged("estimator:naive")
+    return as_covariance(s).retagged("estimator:naive")
 
 
 def estimate_lp(s: CovarianceMatrix, n: int) -> CovarianceMatrix:
@@ -80,7 +82,7 @@ def estimate_lp(s: CovarianceMatrix, n: int) -> CovarianceMatrix:
 
     The estimate is recomposed from the sample's orthonormal eigenvectors, so
     its eigenvalues are the shrunk values and no LAPACK call validates it."""
-    dec = eigendecompose_sym(s)
+    dec = eigendecompose_sym(as_covariance(s, decomposed=True))
     shrunk = shrink_eigenvalues(dec.eigenvalues[::-1], n)[::-1]
     return CovarianceMatrix.recomposed(shrunk, dec.eigenvectors, "estimator:lp")
 
@@ -96,7 +98,7 @@ def filter_correlation(corr: np.ndarray) -> np.ndarray:
 def estimate_alca(s: CovarianceMatrix) -> CovarianceMatrix:
     """Hierarchical filtering: cluster the correlation distances, replace each
     correlation by one minus the cophenetic distance, rescale to covariance."""
-    corr, variances = cov_to_corr(s)
+    corr, variances = cov_to_corr(as_covariance(s))
     values = corr_to_cov(filter_correlation(corr), variances)
     return CovarianceMatrix(values, "estimator:alca")
 
@@ -122,14 +124,14 @@ def estimate_cnn(s: CovarianceMatrix, weights) -> CovarianceMatrix:
     """Trained-network denoising of the covariance matrix itself."""
     from .denoiser import forward
 
-    return CovarianceMatrix(forward(weights, s.values), "estimator:cnn")
+    return CovarianceMatrix(forward(weights, as_covariance(s).values), "estimator:cnn")
 
 
 def estimate_hybrid(s: CovarianceMatrix, n: int, weights) -> CovarianceMatrix:
     """Denoised eigenvectors recombined with the shrunk sample spectrum."""
     from .denoiser import forward
 
-    dec = eigendecompose_sym(s)
+    dec = eigendecompose_sym(as_covariance(s, decomposed=True))
     shrunk = shrink_eigenvalues(dec.eigenvalues[::-1], n)[::-1]
     denoised = forward(weights, dec.eigenvectors)
     return assemble_hybrid(denoised, shrunk)
@@ -216,10 +218,17 @@ def make_estimator(
     name: str, n: int, weights=None
 ) -> Callable[[CovarianceMatrix], CovarianceMatrix]:
     """Bind an estimator name, its sample size and (for the trained
-    estimators) the network weights to a single-argument callable."""
+    estimators) the network weights to a single-argument callable, which
+    takes a CovarianceMatrix as is and a plain array as :func:`validated_sample`."""
     _check_weights(name, weights)
     estimate = _ESTIMATORS[name].estimate
-    return lambda s: estimate(s, n, weights)
+
+    def bound(s) -> CovarianceMatrix:
+        if not isinstance(s, CovarianceMatrix):
+            s = validated_sample(name, s)
+        return estimate(s, n, weights)
+
+    return bound
 
 
 def estimate_two_step(s: CovarianceMatrix, n: int, first: str, *, weights=None) -> CovarianceMatrix:

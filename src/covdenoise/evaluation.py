@@ -29,7 +29,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 import numpy as np
 
 from ._blas import single_blas_thread
-from .covariance import CovarianceMatrix, as_covariance, as_matrix
+from .covariance import CovarianceMatrix, as_covariance
 from .errors import CovDenoiseError, ParameterError, SingularMatrixError
 from .estimators import make_estimator, network_mode
 from .ingest import table_text
@@ -44,9 +44,9 @@ from .spectral import floored_eigenvalues, floored_spectrum
 
 
 def frobenius_loss(xi, sigma) -> float:
-    """(1/p) Tr[(Xi - Sigma)(Xi - Sigma)^T]."""
-    xi = as_matrix(xi)
-    sigma = as_matrix(sigma)
+    """(1/p) Tr[(Xi - Sigma)(Xi - Sigma)^T]; a plain array is validated as a
+    CovarianceMatrix first."""
+    xi, sigma = as_covariance(xi).values, as_covariance(sigma).values
     if xi.shape != sigma.shape:
         raise ParameterError(f"dimension mismatch: {xi.shape} vs {sigma.shape}")
     diff = xi - sigma
@@ -216,7 +216,7 @@ def run_monte_carlo(
             draw = sample_covariance(sigma, n, child_seed(seed, STREAM_REALIZATION, index))
             losses = np.full((len(names), 2), np.nan)
             for row, name in enumerate(names):
-                with suppress(CovDenoiseError, np.linalg.LinAlgError):
+                with suppress(CovDenoiseError):
                     estimate = bound[name](draw.sample)
                     losses[row] = frobenius_loss(estimate, sigma), mv_loss(estimate, sigma)
             return losses

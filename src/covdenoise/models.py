@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .covariance import PSD_REL_TOL, CovarianceMatrix, symmetrize, window_covariance
+from .covariance import PSD_REL_TOL, CovarianceMatrix, as_covariance, symmetrize, window_covariance
 from .errors import NumericError, ParameterError
 from .randomness import generator
 
@@ -53,11 +53,13 @@ class ModelSpec:
             if self.gamma is None or not 0.0 <= self.gamma < 1.0:
                 raise ParameterError("block model requires gamma in [0, 1)")
         elif kind is ModelKind.NESTED:
-            if self.gamma is None or self.gamma <= 0.0:
-                raise ParameterError("nested model requires gamma > 0")
+            if self.gamma is None or not 0.0 < self.gamma < np.inf:
+                raise ParameterError(
+                    f"nested model requires gamma > 0 and finite, got {self.gamma}")
         else:
-            if self.alpha is None or self.alpha < 0.0:
-                raise ParameterError("power-law model requires alpha >= 0")
+            if self.alpha is None or not 0.0 <= self.alpha < np.inf:
+                raise ParameterError(
+                    f"power-law model requires alpha >= 0 and finite, got {self.alpha}")
 
     def build(self) -> CovarianceMatrix:
         if self.kind is ModelKind.BLOCK:
@@ -133,6 +135,8 @@ def build_nested_model(p: int, gamma: float) -> CovarianceMatrix:
         raise ParameterError("p must be a positive integer")
     if gamma <= 0.0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
+    if not np.isfinite(gamma):
+        raise ParameterError(f"gamma must be finite, got {gamma}")
     idx = np.arange(1, p + 1)
     counts = (p + 1 - np.maximum.outer(idx, idx)).astype(float)
     return CovarianceMatrix(gamma * gamma * counts, "model-2")
@@ -144,6 +148,8 @@ def build_powerlaw_model(p: int, alpha: float, seed: int) -> CovarianceMatrix:
         raise ParameterError("p must be a positive integer")
     if alpha < 0.0:
         raise ParameterError(f"alpha must be nonnegative, got {alpha}")
+    if not np.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     spectrum = np.arange(1, p + 1, dtype=float) ** (-alpha)
     gauss = generator(seed).standard_normal((p, p))
     q, r = np.linalg.qr(gauss)
@@ -174,9 +180,11 @@ def matrix_sqrt_psd(sigma: CovarianceMatrix) -> np.ndarray:
 
 
 def sample_covariance(sigma: CovarianceMatrix, n: int, seed: int) -> SampleDraw:
-    """Draw Y = sqrt(Sigma) X with X ~ N(0,1)^(p x n); S = Y Y^T / n."""
+    """Draw Y = sqrt(Sigma) X with X ~ N(0,1)^(p x n); S = Y Y^T / n.  A
+    plain-array ``sigma`` is validated as a CovarianceMatrix first."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
+    sigma = as_covariance(sigma)
     root = matrix_sqrt_psd(sigma)
     x = generator(seed).standard_normal((sigma.dim, n))
     y = root @ x

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import covdenoise.spectral as spectral
+from covdenoise import _blas
 from covdenoise.portfolio import RELEASE_TOL
 from covdenoise.spectral import floored_spectrum
 
@@ -20,11 +20,11 @@ def random_psd(rng: np.random.Generator, p: int, scale_spread: float = 1.0) -> n
 
 def count_decompositions(monkeypatch) -> dict[str, int]:
     """Count, from here on, ``np.linalg.eigh`` calls as "eigh" and the
-    eigenvalue-only decompositions, calls of
-    :func:`covdenoise.spectral.symmetric_eigenvalues`, as "eigvalsh"."""
+    eigenvalue-only decompositions, calls of :func:`covdenoise._blas.eigvalsh`,
+    as "eigvalsh"."""
     counts = {"eigh": 0, "eigvalsh": 0}
     for owner, name, key in ((np.linalg, "eigh", "eigh"),
-                             (spectral, "symmetric_eigenvalues", "eigvalsh")):
+                             (_blas, "eigvalsh", "eigvalsh")):
         real = getattr(owner, name)
 
         def counting(*args, _real=real, _key=key, **kwargs):

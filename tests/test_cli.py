@@ -386,6 +386,45 @@ def test_an_estimator_failing_in_a_window_exits_3(runner, tmp_path, monkeypatch)
     assert not (tmp_path / "bt" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "backtest"])
+def test_an_eigenvalue_computation_that_does_not_converge_exits_3(
+    runner, tmp_path, monkeypatch, command
+):
+    # the validation's LAPACK failure is a numeric error, not an uncaught LinAlgError
+    from covdenoise import _blas
+
+    def failing(values):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    if command == "simulate":
+        args = ["simulate", "--model", "block", "--block-sizes", "3,3", "--n", "20", "--m", "2",
+                "--estimators", "naive"]
+    else:
+        args = ["backtest", "--returns", str(_returns_csv(tmp_path, runner)),
+                "--split-date", "2023-04-01", "--t-in", "30", "--t-out", "30", "--delta-t", "30",
+                "--estimator", "naive"]
+    monkeypatch.setattr(_blas, "_lookup", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    result = runner.invoke(cli, args + ["--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    assert "failed to converge: Eigenvalues did not converge" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["powerlaw", "--alpha=inf"], "power-law model requires alpha >= 0 and finite, got inf"),
+    (["powerlaw", "--alpha=nan"], "power-law model requires alpha >= 0 and finite, got nan"),
+    (["nested", "--gamma=inf"], "nested model requires gamma > 0 and finite, got inf"),
+    (["nested", "--gamma=nan"], "nested model requires gamma > 0 and finite, got nan"),
+], ids=["alpha-inf", "alpha-nan", "gamma-inf", "gamma-nan"])
+def test_a_non_finite_model_parameter_exits_2_naming_it(runner, tmp_path, args, message):
+    result = runner.invoke(cli, ["simulate", "--model", *args, "--p", "6", "--n", "20", "--m", "2",
+                                 "--estimators", "naive", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_backtest_requires_symbol_for_buy_and_hold(runner, tmp_path):
     returns = _returns_csv(tmp_path, runner)
     result = runner.invoke(

@@ -6,6 +6,7 @@ from covdenoise import (
     CovarianceMatrix,
     DataError,
     ParameterError,
+    _blas,
     estimate_lp,
     mv_loss,
     mvp_plus_weights,
@@ -36,7 +37,7 @@ def test_retagged_checks_only_the_tag(rng, monkeypatch):
         raise AssertionError("retagged re-ran the eigenvalue check")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_validation)
-    monkeypatch.setattr(spectral, "symmetric_eigenvalues", no_validation)
+    monkeypatch.setattr(_blas, "eigvalsh", no_validation)
     assert s.retagged("estimator:x").provenance == "estimator:x"
 
 
@@ -162,7 +163,7 @@ def test_decomposed_matrix_is_validated_from_its_one_eigh(rng, monkeypatch):
     values = random_psd(rng, 6)
     counts = []
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                        (spectral, "symmetric_eigenvalues")):
+                        (_blas, "eigvalsh")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda m, _real=real, _name=name: counts.append(_name) or _real(m))
@@ -187,7 +188,7 @@ def test_lp_estimate_takes_its_shrunk_values_as_eigenvalues(monkeypatch):
         s = sample_covariance(build_block_model((p // 2, p - p // 2), 0.3), n, p).sample
         with monkeypatch.context() as patched:
             patched.setattr(np.linalg, "eigvalsh", no_validation)
-            patched.setattr(spectral, "symmetric_eigenvalues", no_validation)
+            patched.setattr(_blas, "eigvalsh", no_validation)
             estimate = estimate_lp(s, n)
         reference = np.linalg.eigvalsh(estimate.values)
         assert np.all(np.diff(estimate.eigenvalues) >= 0.0)

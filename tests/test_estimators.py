@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covdenoise import (
+    CovarianceMatrix,
     ModelKind,
     ModelSpec,
     ParameterError,
@@ -16,7 +17,7 @@ from covdenoise import (
     sample_covariance,
     shrink_eigenvalues,
 )
-from covdenoise.estimators import ESTIMATOR_NAMES
+from covdenoise.estimators import ESTIMATOR_NAMES, network_mode
 from conftest import random_psd
 
 PAPER_SIZES = (3, 3, 4, 5, 6, 7, 7, 9, 11, 13, 15, 17)
@@ -285,3 +286,49 @@ def test_covariance_matrix_is_frozen():
 def test_spectrum_inputs_are_rejected(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+def _entry_points():
+    """Each public function that takes a covariance, called on the one argument it is given."""
+    from covdenoise import estimate_cnn, estimate_hybrid, frobenius_loss
+    from covdenoise.denoiser import DenoiserConfig, init_weights
+
+    weights = {mode: init_weights(DenoiserConfig(input_size=6, num_blocks=1, num_filters=4,
+                                                 kernel=3, seed=2, mode=mode))
+               for mode in ("covariance", "eigenvectors")}
+    sigma = build_block_model([3, 3], 0.3)
+    calls = {f"make_estimator {name}": lambda s, name=name: make_estimator(
+        name, 20, weights.get(network_mode(name)))(s) for name in ESTIMATOR_NAMES}
+    calls.update({
+        "estimate_two_step": lambda s: estimate_two_step(s, 20, "lp"),
+        "estimate_naive": estimate_naive,
+        "estimate_lp": lambda s: estimate_lp(s, 20),
+        "estimate_alca": estimate_alca,
+        "estimate_cnn": lambda s: estimate_cnn(s, weights["covariance"]),
+        "estimate_hybrid": lambda s: estimate_hybrid(s, 20, weights["eigenvectors"]),
+        "sample_covariance": lambda s: sample_covariance(s, 20, 4).sample,
+        "frobenius_loss xi": lambda s: frobenius_loss(s, sigma),
+        "frobenius_loss sigma": lambda s: frobenius_loss(sigma, s),
+    })
+    return calls
+
+
+def _result_bytes(result):
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    return result.provenance, result.values.tobytes()
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_plain_arrays_are_validated_at_every_entry_point(entry):
+    call = _entry_points()[entry]
+    values = random_psd(np.random.default_rng(8), 6)
+    validated = CovarianceMatrix(values, "sample")
+    assert _result_bytes(call(values)) == _result_bytes(call(validated))
+    not_finite, asymmetric = values.copy(), values.copy()
+    not_finite[0, 1] = not_finite[1, 0] = np.nan
+    asymmetric[0, 1] += 1e-6
+    with pytest.raises(ParameterError, match="covariance contains non-finite entries"):
+        call(not_finite)
+    with pytest.raises(ParameterError, match="covariance not symmetric"):
+        call(asymmetric)

@@ -232,8 +232,13 @@ def test_model_spec_validates_block_sum():
     "call, message",
     [(lambda: build_nested_model(4, 0.0), "gamma must be positive, got 0.0"),
      (lambda: build_powerlaw_model(0, 1.5, 0), "p must be a positive integer"),
-     (lambda: build_powerlaw_model(4, -0.5, 0), "alpha must be nonnegative, got -0.5")],
-    ids=["nested-gamma", "powerlaw-p", "powerlaw-alpha"],
+     (lambda: build_powerlaw_model(4, -0.5, 0), "alpha must be nonnegative, got -0.5"),
+     (lambda: build_nested_model(4, float("inf")), "gamma must be finite, got inf"),
+     (lambda: build_nested_model(4, float("nan")), "gamma must be finite, got nan"),
+     (lambda: build_powerlaw_model(4, float("inf"), 0), "alpha must be finite, got inf"),
+     (lambda: build_powerlaw_model(4, float("nan"), 0), "alpha must be finite, got nan")],
+    ids=["nested-gamma", "powerlaw-p", "powerlaw-alpha", "nested-gamma-inf", "nested-gamma-nan",
+         "powerlaw-alpha-inf", "powerlaw-alpha-nan"],
 )
 def test_model_builders_reject_bad_parameters(call, message):
     with pytest.raises(ParameterError, match=message):

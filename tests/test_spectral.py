@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-import covdenoise.spectral as spectral
 from covdenoise import (
     CovarianceMatrix,
     ParameterError,
@@ -23,9 +22,7 @@ from covdenoise.errors import NumericError
 from conftest import random_psd
 
 LIBRARY = _blas._lookup()
-needs_dsyevd = pytest.mark.skipif(
-    LIBRARY is None or LIBRARY.dsyevd is None, reason="no dsyevd in a loaded OpenBLAS"
-)
+needs_dsyevd = pytest.mark.skipif(LIBRARY is None, reason="no OpenBLAS bound")
 
 
 def test_eigendecompose_identity():
@@ -164,46 +161,42 @@ def test_seriation_preserves_spectrum(rng):
     assert np.max(np.abs(before - after)) <= 1e-10
 
 
-def test_lapack_eigensolvers_are_called_only_in_covariance_and_spectral():
-    # NumPy's solvers, the eigenvalue entry point and the dsyevd that _blas
-    # binds are called in covariance.py and spectral.py only, eigh only inside
-    # ascending_spectrum (which turns its LinAlgError into a NumericError), and
-    # the bound dsyevd is not even read outside spectral.py, so no alias escapes
+def test_every_eigendecomposition_is_made_in_blas():
+    # outside _blas.py every eigh or eigvalsh call is to _blas.eigh or
+    # _blas.eigvalsh, so NumPy's solvers are called in _blas.py only; the bound
+    # dsyevd is not even read outside it, so no alias escapes; and
+    # covariance.py imports nothing from spectral, which imports covariance
     import ast
     from pathlib import Path
 
     import covdenoise
 
     root = Path(covdenoise.__file__).parent
-    allowed = {root / "covariance.py", root / "spectral.py"}
     offenders = []
     for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        entry = {
-            id(node)
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef) and function.name == "ascending_spectrum"
-            and path == root / "spectral.py"
-            for node in ast.walk(function)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if (name in ("eigh", "eigvalsh", "symmetric_eigenvalues", "dsyevd")
-                        and path not in allowed or name == "eigh" and id(node) not in entry):
-                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
-            if (isinstance(node, ast.Attribute) and node.attr == "dsyevd"
-                    and path != root / "spectral.py"):
+        if path == root / "_blas.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            through_blas = getattr(getattr(func, "value", None), "id", None) == "_blas"
+            imported = []
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = [getattr(node, "module", None) or ""]
+                imported += [alias.name for alias in node.names]
+            if (isinstance(node, ast.Call) and name in ("eigh", "eigvalsh") and not through_blas
+                    or isinstance(node, ast.Attribute) and node.attr == "dsyevd"
+                    or path == root / "covariance.py"
+                    and any(module.rpartition(".")[2] == "spectral" for module in imported)):
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert offenders == []
 
 
-def _eigenvalues_or_error(solve, values):
+def _eigenvalues_or_error(solve, values, error):
     try:
         return solve(values).tobytes()
-    except np.linalg.LinAlgError as exc:
-        return repr(exc)
+    except error:
+        return "no convergence"
 
 
 def _nearly_symmetric(rng, p):
@@ -218,7 +211,7 @@ def test_symmetric_eigenvalues_are_the_bytes_of_numpy_eigvalsh(p):
     rng = np.random.default_rng(p)
     values = _nearly_symmetric(rng, p)
     for layout in (values, np.asfortranarray(values), values[::-1, ::-1]):
-        assert (spectral.symmetric_eigenvalues(layout).tobytes()
+        assert (_blas.eigvalsh(layout).tobytes()
                 == np.linalg.eigvalsh(layout).tobytes())
 
 
@@ -227,8 +220,8 @@ def test_symmetric_eigenvalues_of_nan_arrays_match_numpy():
     one_nan[0, 0] = np.nan  # LAPACK returns NaN eigenvalues
     cases = [np.full((1, 1), np.nan), one_nan, np.full((5, 5), np.nan)]  # the last raises
     for values in cases:
-        assert (_eigenvalues_or_error(spectral.symmetric_eigenvalues, values)
-                == _eigenvalues_or_error(np.linalg.eigvalsh, values))
+        assert (_eigenvalues_or_error(_blas.eigvalsh, values, NumericError)
+                == _eigenvalues_or_error(np.linalg.eigvalsh, values, np.linalg.LinAlgError))
     sigma = CovarianceMatrix(np.eye(4) + 0.1, "model-1")
     with pytest.raises(ParameterError, match="non-finite"):  # validated before any eigenvalue
         mv_loss(one_nan, sigma)
@@ -245,9 +238,9 @@ def test_symmetric_eigenvalues_agree_with_numpy_from_concurrent_threads():
 
     def solve(k):
         for _ in range(5):
-            got[k].add(spectral.symmetric_eigenvalues(matrices[k]).tobytes())
+            got[k].add(_blas.eigvalsh(matrices[k]).tobytes())
 
-    spectral._dsyevd_workspace.cache_clear()
+    _blas._dsyevd_workspace.cache_clear()
     workers = [threading.Thread(target=solve, args=(k,)) for k in range(len(matrices))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -262,8 +255,7 @@ def test_symmetric_eigenvalues_agree_with_numpy_from_concurrent_threads():
     assert got == [{values} for values in expected]
 
 
-@pytest.mark.parametrize("library", [None, _blas._OpenBLAS(None, None, None)],
-                         ids=["no OpenBLAS", "no dsyevd"])
+@pytest.mark.parametrize("library", [None], ids=["no OpenBLAS"])
 def test_symmetric_eigenvalues_fall_back_to_numpy_without_a_dsyevd(monkeypatch, library):
     values = _nearly_symmetric(np.random.default_rng(4), 7)
     expected = np.linalg.eigvalsh(values).tobytes()
@@ -271,7 +263,7 @@ def test_symmetric_eigenvalues_fall_back_to_numpy_without_a_dsyevd(monkeypatch, 
     real = np.linalg.eigvalsh
     monkeypatch.setattr(_blas, "_lookup", lambda: library)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or real(m))
-    assert spectral.symmetric_eigenvalues(values).tobytes() == expected
+    assert _blas.eigvalsh(values).tobytes() == expected
     assert len(calls) == 1
 
 
@@ -282,7 +274,7 @@ def test_the_bound_dsyevd_releases_the_interpreter_lock():
 
 
 @needs_dsyevd
-def test_dsyevd_failing_to_converge_raises_linalgerror(monkeypatch):
+def test_dsyevd_failing_to_converge_raises_numericerror(monkeypatch):
     integer = np.ctypeslib.as_ctypes_type(LIBRARY.integer)
 
     def failing(*args):
@@ -292,12 +284,36 @@ def test_dsyevd_failing_to_converge_raises_linalgerror(monkeypatch):
 
     monkeypatch.setattr(_blas, "_lookup", lambda: LIBRARY._replace(dsyevd=failing))
     values = random_psd(np.random.default_rng(5), 6)
-    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        spectral.symmetric_eigenvalues(values)
-    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        CovarianceMatrix(values)
+    with pytest.raises(NumericError, match="failed to converge: dsyevd info 3"):
+        _blas.eigvalsh(values)
     with pytest.raises(NumericError, match="failed to converge"):
-        spectral.floored_eigenvalues(values, "xi")
+        CovarianceMatrix(values)
+
+
+def test_numpy_failing_to_converge_raises_numericerror(monkeypatch):
+    def failing(values):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(_blas, "_lookup", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    values = random_psd(np.random.default_rng(6), 4)
+    for call in (lambda: _blas.eigvalsh(values), lambda: CovarianceMatrix(values),
+                 lambda: CovarianceMatrix.decomposed(values), lambda: eigendecompose_sym(values)):
+        with pytest.raises(NumericError, match="failed to converge: Eigenvalues did not converge"):
+            call()
+
+
+@pytest.mark.parametrize("values", [np.eye(3, dtype=np.float32), np.ones((2, 3)), np.zeros((0, 0)),
+                                    np.ones(3)], ids=["float32", "non-square", "empty", "vector"])
+@pytest.mark.parametrize("bound", [True, False], ids=["blas", "numpy"])
+def test_eigvalsh_refuses_what_dsyevd_cannot_take_whichever_blas_is_loaded(
+    monkeypatch, values, bound
+):
+    if not bound:
+        monkeypatch.setattr(_blas, "_lookup", lambda: None)
+    with pytest.raises(ValueError, match="not a non-empty square float64 matrix"):
+        _blas.eigvalsh(values)
 
 
 @pytest.mark.parametrize(
